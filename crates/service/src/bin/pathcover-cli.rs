@@ -29,9 +29,10 @@
 //! instead of paying recognition each time. Without a remote flag the
 //! subcommands run in-process exactly as before.
 
+use pcservice::telemetry::{Axis, Type};
 use pcservice::{
-    CacheStatus, EngineConfig, GraphFormat, GraphSpec, Json, QueryEngine, QueryKind, QueryRequest,
-    QueryResponse,
+    CacheStatus, EngineConfig, GraphFormat, GraphSpec, Json, Metric, QueryEngine, QueryKind,
+    QueryRequest, QueryResponse,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -1238,20 +1239,19 @@ fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
 
 /// Renders one latency summary object (`count`/`mean_us`/`p50_us`/...) on
 /// a single line, used for both pipeline stages and request histograms.
-fn render_latency_summary(label: &str, summary: &Json) {
+fn latency_summary(label: &str, summary: &Json) -> String {
     let num = |field: &str| summary.get(field).and_then(Json::as_u64).unwrap_or(0);
     if num("count") == 0 {
-        println!("  {label}: no samples");
-        return;
+        return format!("  {label}: no samples");
     }
-    println!(
+    format!(
         "  {label}: {} samples, mean {} us, p50 {} us, p90 {} us, p99 {} us",
         num("count"),
         num("mean_us"),
         num("p50_us"),
         num("p90_us"),
         num("p99_us"),
-    );
+    )
 }
 
 fn cmd_metrics(args: &[String]) -> Result<ExitCode, String> {
@@ -1270,88 +1270,47 @@ fn cmd_metrics(args: &[String]) -> Result<ExitCode, String> {
         println!("{metrics}");
         return Ok(ExitCode::SUCCESS);
     }
-    let num = |field: &str| metrics.get(field).and_then(Json::as_u64).unwrap_or(0);
     println!(
-        "requests: {} total, uptime {} s",
-        num("requests_total"),
-        num("uptime_secs")
-    );
-    if let Some(Json::Obj(kinds)) = metrics.get("requests") {
-        for (kind, outcomes) in kinds {
-            let Json::Obj(outcomes) = outcomes else {
-                continue;
-            };
-            let rendered: Vec<String> = outcomes
-                .iter()
-                .filter_map(|(outcome, count)| {
-                    count
-                        .as_u64()
-                        .filter(|&c| c > 0)
-                        .map(|c| format!("{outcome} {c}"))
-                })
-                .collect();
-            if !rendered.is_empty() {
-                println!("  {kind}: {}", rendered.join(", "));
-            }
-        }
-    }
-    println!("pipeline stages:");
-    if let Some(Json::Obj(stages)) = metrics.get("stages") {
-        for (stage, summary) in stages {
-            render_latency_summary(stage, summary);
-        }
-    }
-    println!("request latency by kind:");
-    if let Some(Json::Obj(kinds)) = metrics.get("request_latency_by_kind") {
-        for (kind, summary) in kinds {
-            render_latency_summary(kind, summary);
-        }
-    }
-    println!("request latency by outcome:");
-    if let Some(Json::Obj(outcomes)) = metrics.get("request_latency_by_outcome") {
-        for (outcome, summary) in outcomes {
-            render_latency_summary(outcome, summary);
-        }
-    }
-    println!("connections:");
-    if let Some(Json::Obj(transports)) = metrics.get("connections") {
-        for (transport, gauges) in transports {
-            let num = |field: &str| gauges.get(field).and_then(Json::as_u64).unwrap_or(0);
-            println!(
-                "  {transport}: {} accepted, {} active, {} idle timeouts, {} oversize rejects",
-                num("accepted"),
-                num("active"),
-                num("idle_timeouts"),
-                num("oversize_rejects"),
-            );
-        }
-    }
-    if let Some(snapshot) = metrics.get("snapshot") {
-        let num = |field: &str| snapshot.get(field).and_then(Json::as_u64).unwrap_or(0);
-        let checkpoints = snapshot
-            .get("checkpoints")
-            .and_then(|c| c.get("count"))
+        "requests: {} total",
+        metrics
+            .get("requests_total")
             .and_then(Json::as_u64)
-            .unwrap_or(0);
-        println!(
-            "snapshot: {} checkpoints, {} failures, last success {}",
-            checkpoints,
-            num("failures"),
-            match num("last_success_unix") {
-                0 => "never".to_string(),
-                unix => format!("at unix {unix}"),
+            .unwrap_or(0)
+    );
+    // One block per declared family that has a JSON path, headed by its
+    // HELP text; labelled counters list only their non-zero series.
+    for &metric in Metric::ALL {
+        let family = metric.family();
+        let help = family.help.trim_end_matches('.');
+        let rows: Vec<(String, &Json)> = (0..family.axis.width())
+            .filter_map(|i| {
+                let path = family.json_path(i)?;
+                let value = path.iter().try_fold(&metrics, |node, key| node.get(key))?;
+                let labels: Vec<String> =
+                    family.axis.labels(i).into_iter().map(|(_, v)| v).collect();
+                Some((labels.join(" "), value))
+            })
+            .collect();
+        let labelled = family.axis != Axis::None;
+        if !labelled && family.ty != Type::Histogram {
+            for (_, value) in rows {
+                println!("{help}: {value}");
             }
-        );
-    }
-    if let Some(cache) = metrics.get("cache") {
-        let num = |field: &str| cache.get(field).and_then(Json::as_u64).unwrap_or(0);
-        println!(
-            "cache: {} hits, {} misses, {} evictions, {} resident",
-            num("hits"),
-            num("misses"),
-            num("evictions"),
-            num("entries"),
-        );
+            continue;
+        }
+        let lines: Vec<String> = rows
+            .into_iter()
+            .filter_map(|(label, value)| match family.ty {
+                Type::Histogram => Some(latency_summary(
+                    if labelled { &label } else { "all" },
+                    value,
+                )),
+                _ => (value.as_u64() != Some(0)).then(|| format!("  {label}: {value}")),
+            })
+            .collect();
+        if !lines.is_empty() {
+            println!("{help}:\n{}", lines.join("\n"));
+        }
     }
     if let Some(version) = metrics.get("version") {
         let field = |name: &str| version.get(name).and_then(Json::as_str).unwrap_or("?");

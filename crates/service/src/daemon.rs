@@ -37,7 +37,7 @@ use crate::http;
 use crate::json::Json;
 use crate::proto::{self, ProtoError, Request};
 use crate::snapshot;
-use crate::telemetry::{RequestCtx, Transport};
+use crate::telemetry::{Metric, RequestCtx, Transport};
 use crate::v2;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -330,7 +330,9 @@ where
             // A failed accept (peer vanished mid-handshake, or fd
             // exhaustion under connection pressure) affects nobody else.
             Err(_) => {
-                engine.telemetry().accept_error(options.transport);
+                engine
+                    .telemetry()
+                    .inc(Metric::AcceptErrors, options.transport);
                 if shutdown.is_triggered() {
                     break;
                 }
@@ -351,7 +353,7 @@ where
         {
             // Over the cap: a typed goodbye, not a silent close, so clients
             // back off instead of retrying instantly.
-            engine.telemetry().overload_rejected();
+            engine.telemetry().inc(Metric::RejectedOverload, ());
             reject(conn);
             continue;
         }
@@ -802,16 +804,18 @@ pub fn serve_proto_conn_opts<C: Connection>(
     let Ok(write_half) = conn.try_clone_conn() else {
         return;
     };
-    engine.telemetry().conn_opened(Transport::Framed);
+    let telemetry = engine.telemetry();
+    telemetry.inc(Metric::ConnectionsAccepted, Transport::Framed);
+    telemetry.add(Metric::ConnectionsActive, Transport::Framed, 1);
     // Decrement the gauge on *every* exit, injected handler panics
     // included, so chaos runs cannot leak open-connection counts.
     struct ConnGauge<'t>(&'t crate::telemetry::Telemetry);
     impl Drop for ConnGauge<'_> {
         fn drop(&mut self) {
-            self.0.conn_closed(Transport::Framed);
+            self.0.add(Metric::ConnectionsActive, Transport::Framed, -1);
         }
     }
-    let _gauge = ConnGauge(engine.telemetry());
+    let _gauge = ConnGauge(telemetry);
     let mut reader = BufReader::new(conn);
     let mut writer = BufWriter::new(write_half);
     let mut served: u64 = 0;
@@ -849,10 +853,10 @@ pub fn serve_proto_conn_opts<C: Connection>(
                 // get a best-effort error frame. Either way this connection
                 // is done — and only this connection.
                 if is_idle_timeout(&error) {
-                    engine.telemetry().idle_timeout(Transport::Framed);
+                    telemetry.inc(Metric::IdleTimeouts, Transport::Framed);
                 } else {
                     if matches!(error, ProtoError::FrameTooLarge { .. }) {
-                        engine.telemetry().oversize_reject(Transport::Framed);
+                        telemetry.inc(Metric::OversizeRejects, Transport::Framed);
                     }
                     let reply = proto::attach_trace(
                         proto::error_reply(error.code(), &error.to_string()),
@@ -896,7 +900,7 @@ fn serve_frame<R: BufRead, W: Write>(
     // reply — the client saw a recoverable error and can reconnect).
     let budget_spent = request_budget != 0 && *served >= request_budget;
     if budget_spent || faults.should_overload() {
-        engine.telemetry().overload_rejected();
+        engine.telemetry().inc(Metric::RejectedOverload, ());
         let ctx = match decoded.as_ref().ok().and_then(proto::request_trace) {
             Some(trace) => RequestCtx::with_trace(trace),
             None => RequestCtx::generate(),
@@ -1064,6 +1068,15 @@ mod tests {
         let reply = proto::read_frame(&mut reader).expect("error reply");
         assert_eq!(reply.get("type").and_then(Json::as_str), Some("error"));
         assert_eq!(reply.get("code").and_then(Json::as_str), Some("bad_json"));
+        // ...as do payloads nested far past the parser's depth cap (which
+        // would otherwise overflow the handler thread's stack)...
+        for depth in [20_000, 200_000] {
+            let payload = "[".repeat(depth);
+            write!(writer, "pcp1 {}\n{payload}\n", payload.len()).expect("send deep frame");
+            writer.flush().unwrap();
+            let reply = proto::read_frame(&mut reader).expect("deep frame reply");
+            assert_eq!(reply.get("code").and_then(Json::as_str), Some("bad_json"));
+        }
         // ...the same connection still serves properly-formed frames...
         proto::write_frame(&mut writer, &Request::Stats.to_json()).expect("send stats");
         let reply = proto::read_frame(&mut reader).expect("stats reply");
@@ -1113,6 +1126,38 @@ mod tests {
             Ok(_) => panic!("a listenerless config must be refused"),
         };
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn deeply_nested_http_bodies_get_bad_json_and_the_daemon_keeps_serving() {
+        let mut config = DaemonConfig::http("127.0.0.1:0");
+        config.idle_timeout = Duration::from_secs(5);
+        let daemon = Daemon::bind(config).expect("bind http");
+        let addr = daemon.http_addr().expect("http bound").to_string();
+        let handle = std::thread::spawn(move || daemon.run());
+        for depth in [20_000, 200_000] {
+            use std::io::{Read as _, Write as _};
+            let body = "[".repeat(depth);
+            let mut stream = TcpStream::connect(&addr).expect("tcp connect");
+            write!(
+                stream,
+                "POST /v1/solve HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                body.len()
+            )
+            .expect("send deep body");
+            let mut reply = String::new();
+            stream.read_to_string(&mut reply).expect("read reply");
+            assert!(reply.starts_with("HTTP/1.1 400 "), "{reply}");
+            assert!(reply.contains(r#""code":"bad_json""#), "{reply}");
+        }
+        let mut client = http::Client::connect(&addr).expect("daemon survived");
+        let request = QueryRequest::new(
+            QueryKind::MinCoverSize,
+            GraphSpec::CotreeTerm("(j a b c)".to_string()),
+        );
+        client.solve(&request).expect("follow-up solve");
+        client.shutdown().expect("shutdown");
+        handle.join().expect("daemon thread").expect("clean exit");
     }
 
     #[test]

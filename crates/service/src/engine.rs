@@ -24,7 +24,7 @@ use crate::model::{
 };
 use crate::snapshot::{self, LoadOutcome, SaveReport, SnapshotError};
 use crate::telemetry::{
-    MetricsReport, Outcome, PipelineClock, PoolReport, RequestCtx, Stage, Telemetry,
+    Metric, MetricsReport, Outcome, PipelineClock, RequestCtx, Stage, Telemetry,
 };
 use crate::trace::{FlightRecorder, Span, TraceConfig};
 use cograph::{try_recognize, Cotree};
@@ -177,7 +177,7 @@ impl std::fmt::Debug for InflightGuard<'_> {
 impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
         self.engine.inflight.fetch_sub(1, Ordering::Release);
-        self.engine.telemetry.inflight_finished();
+        self.engine.telemetry.add(Metric::Inflight, (), -1);
     }
 }
 
@@ -207,7 +207,7 @@ impl QueryEngine {
             };
             let threads = parpool::resolve_threads(requested);
             if threads >= 2 {
-                telemetry.set_pool_workers(threads as u64);
+                telemetry.set(Metric::PoolWorkers, (), threads as u64);
             }
         }
         let recorder = FlightRecorder::new(config.trace.clone());
@@ -234,7 +234,7 @@ impl QueryEngine {
         let mut current = self.inflight.load(Ordering::Relaxed);
         loop {
             if max != 0 && current >= max {
-                self.telemetry.overload_rejected();
+                self.telemetry.inc(Metric::RejectedOverload, ());
                 return Err(ServiceError::Overloaded {
                     retry_after_ms: DEFAULT_RETRY_AFTER_MS,
                 });
@@ -246,7 +246,7 @@ impl QueryEngine {
                 Ordering::Relaxed,
             ) {
                 Ok(_) => {
-                    self.telemetry.inflight_started();
+                    self.telemetry.inc(Metric::Inflight, ());
                     return Ok(InflightGuard { engine: self });
                 }
                 Err(observed) => current = observed,
@@ -331,13 +331,12 @@ impl QueryEngine {
             .as_ref()
             .map(|meta| meta.path.clone())
             .ok_or(SnapshotError::NotConfigured)?;
+        let telemetry = &self.telemetry;
         let report = match snapshot::save(&self.cache, &path) {
-            Ok(report) => {
-                self.telemetry.checkpoint_saved(report.elapsed_micros);
-                report
-            }
+            Ok(report) => report,
             Err(error) => {
-                self.telemetry.checkpoint_failed();
+                telemetry.inc(Metric::SnapshotFailures, ());
+                telemetry.inc(Metric::SnapshotConsecutiveFailures, ());
                 return Err(error);
             }
         };
@@ -345,6 +344,9 @@ impl QueryEngine {
             .duration_since(UNIX_EPOCH)
             .unwrap_or_default()
             .as_secs();
+        telemetry.observe(Metric::SnapshotCheckpoint, (), report.elapsed_micros);
+        telemetry.set(Metric::SnapshotLastSuccess, (), now);
+        telemetry.set(Metric::SnapshotConsecutiveFailures, (), 0);
         if let Some(meta) = self.snapshot.lock().expect("snapshot state").as_mut() {
             meta.last_checkpoint_unix = Some(now);
         }
@@ -553,12 +555,15 @@ impl QueryEngine {
             Err(error) => Outcome::from_error_code(error.code()),
         };
         if matches!(response.outcome, Err(ServiceError::DeadlineExceeded)) {
-            self.telemetry.deadline_exceeded();
+            self.telemetry.inc(Metric::DeadlineExceeded, ());
         }
         let total = response.meta.total_micros;
-        self.telemetry.record_request(response.kind, outcome, total);
-        if self.telemetry.should_log(outcome, total) {
-            crate::log::log(
+        let telemetry = &self.telemetry;
+        telemetry.inc(Metric::Requests, (response.kind, outcome));
+        telemetry.observe(Metric::RequestLatency, response.kind, total);
+        telemetry.observe(Metric::OutcomeLatency, outcome, total);
+        if telemetry.should_log(outcome, total) {
+            crate::log::rate_limited(
                 crate::log::Level::Warn,
                 "slow_request",
                 Some(&ctx.trace_id),
@@ -861,14 +866,20 @@ impl QueryEngine {
                     collector.push_all(batch);
                 }
                 let stats = pool.stats();
-                self.telemetry.record_pool(&PoolReport {
-                    workers: stats.workers as u64,
-                    rounds: stats.rounds,
-                    steals: stats.steals,
-                    barrier_waits: stats.barrier_waits,
-                    barrier_wait_p50_us: stats.barrier_wait_p50_micros,
-                    barrier_wait_p99_us: stats.barrier_wait_p99_micros,
-                });
+                // The pool's counters are lifetime totals, so the latest
+                // snapshot replaces the previous one.
+                let telemetry = &self.telemetry;
+                telemetry.inc(Metric::PoolSolves, ());
+                for (metric, value) in [
+                    (Metric::PoolWorkers, stats.workers as u64),
+                    (Metric::PoolRounds, stats.rounds),
+                    (Metric::PoolSteals, stats.steals),
+                    (Metric::PoolBarrierWaits, stats.barrier_waits),
+                    (Metric::PoolBarrierWaitP50, stats.barrier_wait_p50_micros),
+                    (Metric::PoolBarrierWaitP99, stats.barrier_wait_p99_micros),
+                ] {
+                    telemetry.set(metric, (), value);
+                }
                 return cover;
             }
         }
@@ -1090,18 +1101,18 @@ mod tests {
         drop(g1);
         let _g3 = e.try_admit().expect("slot freed by drop");
         let report = e.metrics_report();
-        assert_eq!(report.rejected_overload, 1);
-        assert_eq!(report.inflight, 2);
+        assert_eq!(report.get(Metric::RejectedOverload, ()), 1);
+        assert_eq!(report.get(Metric::Inflight, ()), 2);
     }
 
     #[test]
     fn unlimited_gate_admits_everything_but_tracks_inflight() {
         let e = engine();
         let guards: Vec<_> = (0..64).map(|_| e.try_admit().expect("no cap")).collect();
-        assert_eq!(e.metrics_report().inflight, 64);
+        assert_eq!(e.metrics_report().get(Metric::Inflight, ()), 64);
         drop(guards);
-        assert_eq!(e.metrics_report().inflight, 0);
-        assert_eq!(e.metrics_report().rejected_overload, 0);
+        assert_eq!(e.metrics_report().get(Metric::Inflight, ()), 0);
+        assert_eq!(e.metrics_report().get(Metric::RejectedOverload, ()), 0);
     }
 
     #[test]
@@ -1116,7 +1127,7 @@ mod tests {
         assert_eq!(resp.outcome, Err(ServiceError::DeadlineExceeded));
         // The expired request never reached ingest: no cache traffic.
         assert_eq!(e.cache_stats().misses, 0);
-        assert_eq!(e.metrics_report().deadline_exceeded, 1);
+        assert_eq!(e.metrics_report().get(Metric::DeadlineExceeded, ()), 1);
         // A generous deadline solves normally.
         let ctx = RequestCtx::generate().with_deadline_ms(Some(60_000));
         let resp = e.execute_ctx(&req, &ctx);

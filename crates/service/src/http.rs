@@ -87,7 +87,7 @@ use crate::engine::QueryEngine;
 use crate::json::Json;
 use crate::model::{GraphSpec, QueryRequest};
 use crate::proto::{self, MAX_FRAME_LEN, PROTO_VERSION, SERVER_NAME};
-use crate::telemetry::RequestCtx;
+use crate::telemetry::{Metric, RequestCtx, Transport};
 use crate::v2;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read as _, Write};
@@ -834,18 +834,18 @@ pub fn serve_conn_opts<C: crate::daemon::Connection>(
     let Ok(write_half) = conn.try_clone_conn() else {
         return;
     };
-    engine
-        .telemetry()
-        .conn_opened(crate::telemetry::Transport::Http);
+    let telemetry = engine.telemetry();
+    telemetry.inc(Metric::ConnectionsAccepted, Transport::Http);
+    telemetry.add(Metric::ConnectionsActive, Transport::Http, 1);
     // Decrement the gauge on *every* exit, injected handler panics
     // included, so chaos runs cannot leak open-connection counts.
     struct ConnGauge<'t>(&'t crate::telemetry::Telemetry);
     impl Drop for ConnGauge<'_> {
         fn drop(&mut self) {
-            self.0.conn_closed(crate::telemetry::Transport::Http);
+            self.0.add(Metric::ConnectionsActive, Transport::Http, -1);
         }
     }
-    let _gauge = ConnGauge(engine.telemetry());
+    let _gauge = ConnGauge(telemetry);
     let mut reader = BufReader::new(conn);
     let mut writer = io::BufWriter::new(write_half);
     let mut served: u64 = 0;
@@ -861,7 +861,7 @@ pub fn serve_conn_opts<C: crate::daemon::Connection>(
                 }
                 let budget_spent = request_budget != 0 && served >= request_budget;
                 let (mut response, action) = if budget_spent || faults.should_overload() {
-                    engine.telemetry().overload_rejected();
+                    telemetry.inc(Metric::RejectedOverload, ());
                     let mut response = overloaded_response(crate::engine::DEFAULT_RETRY_AFTER_MS);
                     let ctx = match &request.trace {
                         Some(trace) => RequestCtx::with_trace(trace.clone()),
@@ -879,9 +879,7 @@ pub fn serve_conn_opts<C: crate::daemon::Connection>(
                 // unbounded write.
                 let mut body = response.body.render();
                 if body.len() > MAX_FRAME_LEN {
-                    engine
-                        .telemetry()
-                        .oversize_reject(crate::telemetry::Transport::Http);
+                    telemetry.inc(Metric::OversizeRejects, Transport::Http);
                     response = HttpResponse::error(
                         500,
                         "Internal Server Error",
@@ -925,14 +923,10 @@ pub fn serve_conn_opts<C: crate::daemon::Connection>(
                             io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                         ) =>
                     {
-                        engine
-                            .telemetry()
-                            .idle_timeout(crate::telemetry::Transport::Http);
+                        telemetry.inc(Metric::IdleTimeouts, Transport::Http);
                     }
                     HttpError::BodyTooLarge { .. } => {
-                        engine
-                            .telemetry()
-                            .oversize_reject(crate::telemetry::Transport::Http);
+                        telemetry.inc(Metric::OversizeRejects, Transport::Http);
                     }
                     _ => {}
                 }
@@ -1678,6 +1672,12 @@ mod tests {
 
         let (response, _) = get(&engine, "POST", "/v1/solve", b"not json");
         assert_eq!((response.status, code(&response)), (400, "bad_json".into()));
+        // Hostile nesting is a typed 400 too, not a stack overflow.
+        for depth in [20_000, 200_000] {
+            let body = "[".repeat(depth);
+            let (response, _) = get(&engine, "POST", "/v1/solve", body.as_bytes());
+            assert_eq!((response.status, code(&response)), (400, "bad_json".into()));
+        }
         let (response, _) = get(&engine, "POST", "/v1/solve", br#"{"kind":"launch"}"#);
         assert_eq!(
             (response.status, code(&response)),
@@ -1770,7 +1770,7 @@ mod tests {
             Some("deadline_exceeded"),
             "{body}"
         );
-        assert_eq!(engine.metrics_report().deadline_exceeded, 1);
+        assert_eq!(engine.metrics_report().get(Metric::DeadlineExceeded, ()), 1);
     }
 
     #[test]
@@ -1898,7 +1898,7 @@ mod tests {
                 &crate::faults::Faults::default(),
                 1,
             );
-            engine.metrics_report().rejected_overload
+            engine.metrics_report().get(Metric::RejectedOverload, ())
         });
         let mut client = Client::connect(&addr.to_string()).expect("connect");
         let request = QueryRequest::new(

@@ -84,6 +84,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -167,9 +168,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Parsing recurses
+/// once per level, so without a cap a body of a few thousand `[` would
+/// overflow a handler thread's stack and abort the whole process; no
+/// message this service speaks nests more than a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -201,8 +210,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -365,6 +385,25 @@ fn utf8_width(first: u8) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_capped_without_recursing_off_the_stack() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let mixed = format!(
+            "{}1{}",
+            r#"{"a":["#.repeat(MAX_DEPTH / 2),
+            "]}".repeat(MAX_DEPTH / 2)
+        );
+        assert!(Json::parse(&mixed).is_ok());
+        for depth in [MAX_DEPTH + 1, 20_000, 200_000] {
+            let error = Json::parse(&nested(depth)).expect_err("over the cap");
+            assert!(error.message.contains("nesting"), "{error}");
+            // Unterminated bodies fail the same way, at the cap.
+            let error = Json::parse(&"[".repeat(depth)).expect_err("over the cap");
+            assert_eq!(error.pos, MAX_DEPTH, "{error}");
+        }
+    }
 
     #[test]
     fn round_trips_a_query_object() {

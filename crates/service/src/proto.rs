@@ -50,7 +50,7 @@ use crate::engine::QueryEngine;
 use crate::json::{Json, JsonError};
 use crate::model::{GraphSpec, QueryRequest, QueryResponse};
 use crate::snapshot::{SaveReport, SNAPSHOT_VERSION};
-use crate::telemetry::{RequestCtx, Stage};
+use crate::telemetry::{Metric, RequestCtx};
 use crate::v2;
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -689,18 +689,17 @@ pub fn stats_payload(engine: &QueryEngine) -> Json {
             ),
             (
                 "consecutive_failures",
-                Json::num(report.snapshot_consecutive_failures),
+                Json::num(report.get(Metric::SnapshotConsecutiveFailures, ())),
             ),
         ]),
         None => Json::Null,
     };
-    let stages = Json::Obj(
-        Stage::ALL
-            .iter()
-            .enumerate()
-            .map(|(i, stage)| (stage.as_str().to_string(), report.stages[i].summary_json()))
-            .collect(),
-    );
+    // The stage block is the metrics report's own, so the two never drift.
+    let stages = report
+        .to_json()
+        .get("stages")
+        .cloned()
+        .unwrap_or(Json::Null);
     Json::obj(vec![
         ("hits", Json::num(stats.hits)),
         ("misses", Json::num(stats.misses)),

@@ -33,7 +33,7 @@ use crate::engine::{QueryEngine, Resolved};
 use crate::error::ServiceError;
 use crate::ingest::{self, GraphFormat, Ingested};
 use crate::model::{CacheStatus, GraphSpec, QueryKind, QueryResponse, ResponseMeta};
-use crate::telemetry::{RequestCtx, Telemetry};
+use crate::telemetry::{Metric, RequestCtx, Telemetry};
 use cograph::IncrementalCotree;
 use pcgraph::{Graph, VertexId};
 use std::collections::HashMap;
@@ -241,7 +241,8 @@ impl SessionRegistry {
         map.retain(|_, slot| match slot.try_lock() {
             Ok(session) => {
                 if session.last_used.elapsed() >= ttl {
-                    telemetry.session_expired();
+                    telemetry.inc(Metric::SessionsExpired, ());
+                    telemetry.add(Metric::SessionsLive, (), -1);
                     false
                 } else {
                     true
@@ -300,7 +301,7 @@ impl QueryEngine {
             Some(spec) => {
                 let graph = graph_from_spec(spec)?;
                 let session = Session::from_graph(&graph)?;
-                self.telemetry().session_recognized(false);
+                self.telemetry().inc(Metric::SessionRecognizeRebuild, ());
                 session
             }
         };
@@ -326,7 +327,8 @@ impl QueryEngine {
             }
             map.insert(state.handle.clone(), Arc::new(Mutex::new(session)));
         }
-        self.telemetry().session_created();
+        self.telemetry().inc(Metric::SessionsCreated, ());
+        self.telemetry().add(Metric::SessionsLive, (), 1);
         Ok(state)
     }
 
@@ -354,8 +356,9 @@ impl QueryEngine {
                 session.adjacency.push(sorted);
                 session.num_edges += neighbors.len();
                 session.invalidate();
-                self.telemetry().session_mutation();
-                self.telemetry().session_recognized(true);
+                self.telemetry().inc(Metric::SessionMutations, ());
+                self.telemetry()
+                    .inc(Metric::SessionRecognizeIncremental, ());
                 Ok(SessionState {
                     handle: handle.to_string(),
                     vertices: session.adjacency.len(),
@@ -456,13 +459,13 @@ impl QueryEngine {
     ) -> Result<SessionState, ServiceError> {
         let candidate = Graph::from_edges(n, &edges).expect("validated edges build a graph");
         let rebuilt = Session::from_graph(&candidate)?;
-        self.telemetry().session_recognized(false);
+        self.telemetry().inc(Metric::SessionRecognizeRebuild, ());
         let mutations = session.mutations + 1;
         *session = Session {
             mutations,
             ..rebuilt
         };
-        self.telemetry().session_mutation();
+        self.telemetry().inc(Metric::SessionMutations, ());
         Ok(SessionState {
             handle: handle.to_string(),
             vertices: n,
@@ -603,7 +606,8 @@ impl QueryEngine {
         let removed = self.swept_sessions().lock().remove(handle);
         match removed {
             Some(_) => {
-                self.telemetry().session_dropped();
+                self.telemetry().inc(Metric::SessionsDropped, ());
+                self.telemetry().add(Metric::SessionsLive, (), -1);
                 Ok(())
             }
             None => Err(ServiceError::SessionNotFound(handle.to_string())),
@@ -830,11 +834,11 @@ mod tests {
         let h1 = e.session_create(None).unwrap().handle;
         let _ = h1;
         let report = e.metrics_report();
-        assert_eq!(report.sessions.created, 1);
+        assert_eq!(report.get(Metric::SessionsCreated, ()), 1);
         // The next registry op sweeps the (instantly idle) handle away.
         let h2 = e.session_create(None).unwrap().handle;
         let report = e.metrics_report();
-        assert_eq!(report.sessions.expired, 1);
+        assert_eq!(report.get(Metric::SessionsExpired, ()), 1);
         assert!(matches!(
             e.session_drop(&h2),
             Err(ServiceError::SessionNotFound(_))
@@ -852,7 +856,7 @@ mod tests {
             Err(ServiceError::TooManySessions { max: 2 })
         ));
         assert_eq!(e.session_stats().len(), 2);
-        let live = e.metrics_report().sessions.live;
+        let live = e.metrics_report().get(Metric::SessionsLive, ());
         assert_eq!(live, 2);
     }
 
@@ -874,12 +878,12 @@ mod tests {
             e.sessions.lock().contains_key(&h),
             "sweep reclaimed a session whose lock was held by an in-flight query"
         );
-        assert_eq!(e.metrics_report().sessions.expired, 0);
+        assert_eq!(e.metrics_report().get(Metric::SessionsExpired, ()), 0);
         drop(guard);
         // Released and instantly idle: the next sweep reclaims it.
         e.sessions.sweep(Duration::from_millis(0), e.telemetry());
         assert!(!e.sessions.lock().contains_key(&h));
-        assert_eq!(e.metrics_report().sessions.expired, 1);
+        assert_eq!(e.metrics_report().get(Metric::SessionsExpired, ()), 1);
         assert!(matches!(
             e.session_query(&h, QueryKind::MinCoverSize).outcome,
             Err(ServiceError::SessionNotFound(_))
@@ -901,7 +905,7 @@ mod tests {
         let ctx = RequestCtx::generate().with_deadline_ms(Some(30));
         let resp = e.session_query_ctx(&h, QueryKind::MinCoverSize, &ctx);
         assert_eq!(resp.outcome, Err(ServiceError::DeadlineExceeded));
-        assert_eq!(e.metrics_report().deadline_exceeded, 1);
+        assert_eq!(e.metrics_report().get(Metric::DeadlineExceeded, ()), 1);
         drop(guard);
         // Lock free again: the same query (fresh deadline) succeeds.
         let ctx = RequestCtx::generate().with_deadline_ms(Some(60_000));
@@ -953,11 +957,11 @@ mod tests {
             assert!(resp.outcome.is_ok());
         }
         let report = e.metrics_report();
-        assert_eq!(report.sessions.recognize_incremental, 12);
-        assert_eq!(report.sessions.recognize_rebuild, 0);
-        assert_eq!(report.sessions.mutations, 12);
+        assert_eq!(report.get(Metric::SessionRecognizeIncremental, ()), 12);
+        assert_eq!(report.get(Metric::SessionRecognizeRebuild, ()), 0);
+        assert_eq!(report.get(Metric::SessionMutations, ()), 12);
         // The pipeline's recognize stage never ran for any of this.
-        let recognize_stage = &report.stages[crate::telemetry::Stage::Recognize.index()];
+        let recognize_stage = report.hist(Metric::StageLatency, crate::telemetry::Stage::Recognize);
         assert_eq!(
             recognize_stage.count, 0,
             "session path must not re-recognize"

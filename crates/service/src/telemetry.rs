@@ -1,19 +1,17 @@
 //! Lock-free pipeline telemetry: counters, latency histograms, trace IDs.
 //!
-//! Every request the engine answers crosses five pipeline stages — ingest,
-//! recognize, cache lookup, solve, verify — and this module records each
-//! one without locks: plain relaxed atomics behind a [`Telemetry`] registry
-//! owned by the [`QueryEngine`](crate::engine::QueryEngine). Latencies land
-//! in fixed-bucket log-scale [`Histogram`]s (powers of two, microseconds)
-//! whose counts are exact even under concurrent recording, so p50/p90/p99
-//! extraction never needs a mutex on the hot path.
+//! Every metric the daemon exports is declared once, in the `metrics!`
+//! table below: its Prometheus name, HELP text, type, label axis and JSON
+//! path. The [`Telemetry`] registry behind the table is a flat array of
+//! relaxed atomics plus one of [`Histogram`]s, indexed by [`Metric`] and
+//! label, so recording is one indexed `fetch_add` — no name lookup, no
+//! hashing, no lock. Latencies land in fixed-bucket log-scale histograms
+//! (powers of two, microseconds) whose counts are exact even under
+//! concurrent recording.
 //!
-//! The registry also tracks whole-request latency split by query kind and
-//! by outcome (`ok` / `not_a_cograph` / `invalid` / `internal`), daemon
-//! connection gauges per transport, and snapshot checkpoint health. A
-//! [`MetricsReport`] snapshots everything at once and renders either
-//! structured JSON (the `metrics` proto frame, `pathcover-cli metrics`) or
-//! Prometheus text exposition format (`GET /v1/metrics`).
+//! A [`MetricsReport`] snapshots everything at once; its JSON (the
+//! `metrics` proto frame, `pathcover-cli metrics`) and Prometheus text
+//! (`GET /v1/metrics`) renderings are both walks over the same table.
 //!
 //! Requests are correlated across log lines and transports by a trace ID
 //! carried in a [`RequestCtx`]: accepted from an `X-Request-Id` header or a
@@ -23,7 +21,8 @@
 use crate::cache::{CacheStats, ShardStats};
 use crate::json::Json;
 use crate::model::QueryKind;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
@@ -31,11 +30,6 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 /// values `v` with `2^(i-1) < v <= 2^i` microseconds (bucket 0 holds
 /// `v <= 1`), bucket 31 is the overflow (`+Inf`) bucket.
 pub const HISTOGRAM_BUCKETS: usize = 32;
-
-/// Minimum gap between structured slow-request/error log lines; anything
-/// arriving faster is dropped so a pathological workload cannot turn the
-/// log into its own denial of service.
-const LOG_RATE_LIMIT_NANOS: u64 = 100_000_000; // 100ms
 
 // ---------------------------------------------------------------------------
 // Histogram
@@ -120,6 +114,24 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// The bucket-wise union of several snapshots (bounds are shared, so
+    /// the merge is exact).
+    pub fn merge<'a>(parts: impl IntoIterator<Item = &'a HistogramSnapshot>) -> Self {
+        let mut merged = HistogramSnapshot {
+            buckets: [0; HISTOGRAM_BUCKETS],
+            count: 0,
+            sum: 0,
+        };
+        for part in parts {
+            for (total, bucket) in merged.buckets.iter_mut().zip(part.buckets) {
+                *total += bucket;
+            }
+            merged.count += part.count;
+            merged.sum += part.sum;
+        }
+        merged
+    }
+
     /// The `q`-quantile (`0.0 ..= 1.0`) as the inclusive upper bound of
     /// the bucket containing the rank-`ceil(q·count)` smallest
     /// observation; `0` when empty, `u64::MAX` when the rank falls in the
@@ -202,18 +214,6 @@ impl Stage {
             Stage::Verify => "verify",
         }
     }
-
-    /// Position of this stage in [`Stage::ALL`] (and in
-    /// [`MetricsReport::stages`]).
-    pub fn index(self) -> usize {
-        match self {
-            Stage::Ingest => 0,
-            Stage::Recognize => 1,
-            Stage::CacheLookup => 2,
-            Stage::Solve => 3,
-            Stage::Verify => 4,
-        }
-    }
 }
 
 /// Request outcome classes used to split whole-request latency.
@@ -257,15 +257,6 @@ impl Outcome {
             _ => Outcome::Invalid,
         }
     }
-
-    fn index(self) -> usize {
-        match self {
-            Outcome::Ok => 0,
-            Outcome::NotACograph => 1,
-            Outcome::Invalid => 2,
-            Outcome::Internal => 3,
-        }
-    }
 }
 
 /// The two wire transports, used to label connection gauges.
@@ -288,22 +279,112 @@ impl Transport {
             Transport::Http => "http",
         }
     }
+}
 
+/// A value on a label axis. Every axis enum lists `ALL` in declaration
+/// order, so a value's position on its axis is its discriminant.
+pub trait Label: Copy {
+    /// The axis this label type belongs to.
+    const AXIS: Axis;
+    /// Position on the axis (the series offset within its family).
+    fn index(self) -> usize;
+}
+
+impl Label for () {
+    const AXIS: Axis = Axis::None;
     fn index(self) -> usize {
-        match self {
-            Transport::Framed => 0,
-            Transport::Http => 1,
-        }
+        0
     }
 }
 
-fn kind_index(kind: QueryKind) -> usize {
-    match kind {
-        QueryKind::MinCoverSize => 0,
-        QueryKind::FullCover => 1,
-        QueryKind::HamiltonianPath => 2,
-        QueryKind::HamiltonianCycle => 3,
-        QueryKind::Recognize => 4,
+macro_rules! enum_label {
+    ($($ty:ty => $axis:ident),*) => {$(
+        impl Label for $ty {
+            const AXIS: Axis = Axis::$axis;
+            fn index(self) -> usize {
+                self as usize
+            }
+        }
+    )*};
+}
+enum_label!(QueryKind => Kind, Stage => Stage, Outcome => Outcome, Transport => Transport);
+
+impl Label for (QueryKind, Outcome) {
+    const AXIS: Axis = Axis::KindOutcome;
+    fn index(self) -> usize {
+        self.0.index() * Outcome::ALL.len() + self.1.index()
+    }
+}
+
+/// How a family's series are split by labels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    /// One unlabelled series.
+    None,
+    /// One series per [`QueryKind`] (`kind`).
+    Kind,
+    /// One series per [`Stage`] (`stage`).
+    Stage,
+    /// One series per [`Outcome`] (`outcome`).
+    Outcome,
+    /// One series per [`Transport`] (`transport`).
+    Transport,
+    /// One series per kind × outcome pair (`kind`, `outcome`).
+    KindOutcome,
+    /// One series per cache shard (`shard`); read from the cache, not the
+    /// registry.
+    Shard,
+    /// The single build-identity series (`version`, `rust_version`,
+    /// `profile`).
+    Build,
+}
+
+impl Axis {
+    /// Series the registry keeps for a family on this axis.
+    pub const fn width(self) -> usize {
+        match self {
+            Axis::None | Axis::Build => 1,
+            Axis::Kind => QueryKind::ALL.len(),
+            Axis::Stage => Stage::ALL.len(),
+            Axis::Outcome => Outcome::ALL.len(),
+            Axis::Transport => Transport::ALL.len(),
+            Axis::KindOutcome => QueryKind::ALL.len() * Outcome::ALL.len(),
+            Axis::Shard => 0,
+        }
+    }
+
+    /// The `(name, value)` label pairs of series `i`.
+    pub fn labels(self, i: usize) -> Vec<(&'static str, String)> {
+        let pair = |name, value: &str| (name, value.to_string());
+        match self {
+            Axis::None => Vec::new(),
+            Axis::Kind => vec![pair("kind", QueryKind::ALL[i].as_str())],
+            Axis::Stage => vec![pair("stage", Stage::ALL[i].as_str())],
+            Axis::Outcome => vec![pair("outcome", Outcome::ALL[i].as_str())],
+            Axis::Transport => vec![pair("transport", Transport::ALL[i].as_str())],
+            Axis::KindOutcome => {
+                let outcomes = Outcome::ALL.len();
+                let mut labels = Axis::Kind.labels(i / outcomes);
+                labels.extend(Axis::Outcome.labels(i % outcomes));
+                labels
+            }
+            Axis::Shard => vec![pair("shard", &i.to_string())],
+            Axis::Build => vec![
+                pair("version", env!("CARGO_PKG_VERSION")),
+                pair(
+                    "rust_version",
+                    option_env!("CARGO_PKG_RUST_VERSION").unwrap_or("unknown"),
+                ),
+                pair(
+                    "profile",
+                    if cfg!(debug_assertions) {
+                        "debug"
+                    } else {
+                        "release"
+                    },
+                ),
+            ],
+        }
     }
 }
 
@@ -437,7 +518,7 @@ impl PipelineClock<'_> {
         if let Some((telemetry, last)) = &mut self.inner {
             let now = Instant::now();
             let micros = (now - *last).as_micros() as u64;
-            telemetry.record_stage(stage, micros);
+            telemetry.observe(Metric::StageLatency, stage, micros);
             if let Some(collector) = &self.collector {
                 let end = collector.elapsed_us();
                 collector.push(crate::trace::Span::new(
@@ -468,18 +549,220 @@ impl PipelineClock<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Registry
+// The declaration table
 // ---------------------------------------------------------------------------
 
-/// Per-transport connection counters.
-#[derive(Debug, Default)]
-struct TransportCounters {
-    accepted: AtomicU64,
-    active: AtomicI64,
-    idle_timeouts: AtomicU64,
-    oversize_rejects: AtomicU64,
-    accept_errors: AtomicU64,
+/// Prometheus type of a metric family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Type {
+    /// Monotonic count (or a lifetime total copied from elsewhere).
+    Counter,
+    /// Point-in-time level; negative transients render as 0.
+    Gauge,
+    /// Latency histogram over the shared power-of-two bucket bounds.
+    Histogram,
 }
+
+impl Type {
+    /// The `# TYPE` keyword.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Type::Counter => "counter",
+            Type::Gauge => "gauge",
+            Type::Histogram => "histogram",
+        }
+    }
+}
+
+/// One row of the declaration table.
+#[derive(Debug)]
+pub struct Family {
+    /// Prometheus family name.
+    pub name: &'static str,
+    /// Prometheus `# HELP` text.
+    pub help: &'static str,
+    /// Prometheus type.
+    pub ty: Type,
+    /// How the family splits into series.
+    pub axis: Axis,
+    /// Dotted path of each series in the JSON report, `*` standing for the
+    /// next label value; empty for Prometheus-only families.
+    pub json: &'static str,
+}
+
+impl Family {
+    /// JSON path of series `i` (`None` for Prometheus-only families).
+    pub fn json_path(&self, i: usize) -> Option<Vec<String>> {
+        if self.json.is_empty() {
+            return None;
+        }
+        let mut values = self.axis.labels(i).into_iter().map(|(_, value)| value);
+        Some(
+            self.json
+                .split('.')
+                .map(|segment| match segment {
+                    "*" => values.next().expect("one label per `*`"),
+                    key => key.to_string(),
+                })
+                .collect(),
+        )
+    }
+}
+
+macro_rules! metrics {
+    ($($metric:ident: $ty:ident $axis:ident $name:literal $json:literal $help:literal;)*) => {
+        /// Every exported metric family, in exposition order.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Metric {
+            $(#[doc = $help] $metric,)*
+        }
+
+        impl Metric {
+            /// Every family, in exposition order.
+            pub const ALL: &'static [Metric] = &[$(Metric::$metric),*];
+        }
+
+        const FAMILIES: &[Family] = &[$(Family {
+            name: $name,
+            help: $help,
+            ty: Type::$ty,
+            axis: Axis::$axis,
+            json: $json,
+        }),*];
+    };
+}
+
+metrics! {
+    BuildInfo: Gauge Build "pc_build_info" ""
+        "Build identification of this daemon; always 1.";
+    Requests: Counter KindOutcome "pc_requests_total" "requests.*.*"
+        "Requests completed, by query kind and outcome.";
+    StageLatency: Histogram Stage "pc_stage_latency_us" "stages.*"
+        "Per-stage pipeline latency in microseconds.";
+    RequestLatency: Histogram Kind "pc_request_latency_us" "request_latency_by_kind.*"
+        "Whole-request latency in microseconds, by query kind.";
+    OutcomeLatency: Histogram Outcome "pc_request_outcome_latency_us" "request_latency_by_outcome.*"
+        "Whole-request latency in microseconds, by outcome.";
+    RequestDuration: Histogram None "pc_request_duration" ""
+        "Whole-request latency in microseconds, all query kinds.";
+    RequestDurationP50: Gauge None "pc_request_duration_p50_us" ""
+        "Precomputed median whole-request latency in microseconds.";
+    RequestDurationP90: Gauge None "pc_request_duration_p90_us" ""
+        "Precomputed p90 whole-request latency in microseconds.";
+    RequestDurationP99: Gauge None "pc_request_duration_p99_us" ""
+        "Precomputed p99 whole-request latency in microseconds.";
+    ConnectionsAccepted: Counter Transport "pc_connections_accepted_total" "connections.*.accepted"
+        "Connections accepted, by transport.";
+    ConnectionsActive: Gauge Transport "pc_connections_active" "connections.*.active"
+        "Currently open connections, by transport.";
+    IdleTimeouts: Counter Transport "pc_idle_timeouts_total" "connections.*.idle_timeouts"
+        "Connections closed by idle timeout, by transport.";
+    OversizeRejects: Counter Transport "pc_oversize_rejects_total" "connections.*.oversize_rejects"
+        "Frames or bodies rejected over the size cap, by transport.";
+    AcceptErrors: Counter Transport "pc_accept_errors_total" "connections.*.accept_errors"
+        "Listener accept() failures, by transport.";
+    RejectedOverload: Counter None "pc_rejected_overload_total" "resilience.rejected_overload"
+        "Requests shed under load (admission cap, budgets, injected faults).";
+    DeadlineExceeded: Counter None "pc_deadline_exceeded_total" "resilience.deadline_exceeded"
+        "Requests cut short because their deadline expired.";
+    Inflight: Gauge None "pc_inflight_requests" "resilience.inflight"
+        "Requests currently admitted and executing.";
+    SnapshotCheckpoint: Histogram None "pc_snapshot_checkpoint_duration_us" "snapshot.checkpoints"
+        "Snapshot checkpoint duration in microseconds.";
+    SnapshotFailures: Counter None "pc_snapshot_failures_total" "snapshot.failures"
+        "Failed snapshot checkpoints.";
+    SnapshotConsecutiveFailures: Gauge None "pc_snapshot_consecutive_failures" "snapshot.consecutive_failures"
+        "Checkpoint failures since the last success.";
+    SnapshotLastSuccess: Gauge None "pc_snapshot_last_success_unixtime" "snapshot.last_success_unix"
+        "Unix time of the last successful checkpoint (0 = never).";
+    PoolSolves: Counter None "pc_pool_solves_total" "pool.solves"
+        "Solves executed on the work-stealing pool.";
+    PoolWorkers: Gauge None "pc_pool_workers" "pool.workers"
+        "Worker threads of the engine's work-stealing pool.";
+    PoolRounds: Counter None "pc_pool_rounds_total" "pool.rounds"
+        "PRAM rounds executed by the pool.";
+    PoolSteals: Counter None "pc_pool_steals_total" "pool.steals"
+        "Chunks stolen between pool workers.";
+    PoolBarrierWaits: Counter None "pc_pool_barrier_waits_total" "pool.barrier_waits"
+        "Barrier wait observations in the pool.";
+    PoolBarrierWaitP50: Gauge None "pc_pool_barrier_wait_p50_us" "pool.barrier_wait_p50_us"
+        "Median pool barrier wait in microseconds.";
+    PoolBarrierWaitP99: Gauge None "pc_pool_barrier_wait_p99_us" "pool.barrier_wait_p99_us"
+        "99th-percentile pool barrier wait in microseconds.";
+    SessionsLive: Gauge None "pc_sessions_live" "sessions.live"
+        "Live daemon-resident session handles.";
+    SessionsCreated: Counter None "pc_sessions_created_total" "sessions.created"
+        "Session handles created.";
+    SessionsDropped: Counter None "pc_sessions_dropped_total" "sessions.dropped"
+        "Session handles released by session_drop.";
+    SessionsExpired: Counter None "pc_sessions_expired_total" "sessions.expired"
+        "Session handles reclaimed by the idle-TTL sweep.";
+    SessionMutations: Counter None "pc_session_mutations_total" "sessions.mutations"
+        "Successful session mutations.";
+    SessionRecognizeIncremental: Counter None "pc_session_recognize_incremental_total" "sessions.recognize_incremental"
+        "Session recognitions absorbed incrementally.";
+    SessionRecognizeRebuild: Counter None "pc_session_recognize_rebuild_total" "sessions.recognize_rebuild"
+        "Session recognitions that rebuilt from scratch.";
+    CacheHits: Counter None "pc_cache_hits_total" "cache.hits"
+        "Cache hits across all shards.";
+    CacheMisses: Counter None "pc_cache_misses_total" "cache.misses"
+        "Cache misses across all shards.";
+    CacheEvictions: Counter None "pc_cache_evictions_total" "cache.evictions"
+        "Cache evictions across all shards.";
+    CacheEntries: Gauge None "pc_cache_entries" "cache.entries"
+        "Live cache entries across all shards.";
+    CacheShardHits: Counter Shard "pc_cache_shard_hits_total" "cache.per_shard"
+        "Cache hits per shard.";
+    CacheShardMisses: Counter Shard "pc_cache_shard_misses_total" ""
+        "Cache misses per shard.";
+    Uptime: Gauge None "pc_uptime_seconds" "uptime_secs"
+        "Engine uptime in seconds.";
+}
+
+impl Metric {
+    /// This family's row of the declaration table.
+    pub fn family(self) -> &'static Family {
+        &FAMILIES[self as usize]
+    }
+
+    /// Registry slot of this family's first series.
+    fn base(self) -> usize {
+        LAYOUT.0[self as usize]
+    }
+}
+
+/// Registry offset of each family's first series (scalar families index
+/// the scalar array, histogram families the histogram array), plus the
+/// two array lengths.
+const LAYOUT: ([usize; FAMILIES.len()], usize, usize) = {
+    let mut base = [0; FAMILIES.len()];
+    let (mut scalars, mut hists) = (0, 0);
+    let mut i = 0;
+    while i < FAMILIES.len() {
+        let len = FAMILIES[i].axis.width();
+        if matches!(FAMILIES[i].ty, Type::Histogram) {
+            base[i] = hists;
+            hists += len;
+        } else {
+            base[i] = scalars;
+            scalars += len;
+        }
+        i += 1;
+    }
+    (base, scalars, hists)
+};
+const SCALAR_SLOTS: usize = LAYOUT.1;
+const HISTOGRAM_SLOTS: usize = LAYOUT.2;
+
+/// Registry slot of one series.
+fn slot<L: Label>(metric: Metric, label: L) -> usize {
+    debug_assert_eq!(metric.family().axis, L::AXIS, "{metric:?}");
+    metric.base() + label.index()
+}
+
+// ---------------------------------------------------------------------------
+// Registry
+// ---------------------------------------------------------------------------
 
 /// The metrics registry: one per [`QueryEngine`](crate::engine::QueryEngine),
 /// shared by the engine pipeline, the daemon accept loops and both
@@ -489,33 +772,8 @@ struct TransportCounters {
 pub struct Telemetry {
     enabled: bool,
     slow_log_micros: Option<u64>,
-    stages: [Histogram; 5],
-    request_kind: [Histogram; 5],
-    request_outcome: [Histogram; 4],
-    requests: [[AtomicU64; 4]; 5],
-    transports: [TransportCounters; 2],
-    snapshot_save: Histogram,
-    snapshot_failures: AtomicU64,
-    snapshot_consecutive_failures: AtomicU64,
-    snapshot_last_unix: AtomicU64,
-    rejected_overload: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    inflight: AtomicI64,
-    pool_solves: AtomicU64,
-    pool_workers: AtomicU64,
-    pool_rounds: AtomicU64,
-    pool_steals: AtomicU64,
-    pool_barrier_waits: AtomicU64,
-    pool_barrier_wait_p50_us: AtomicU64,
-    pool_barrier_wait_p99_us: AtomicU64,
-    sessions_created: AtomicU64,
-    sessions_dropped: AtomicU64,
-    sessions_expired: AtomicU64,
-    sessions_live: AtomicI64,
-    session_mutations: AtomicU64,
-    session_recognize_incremental: AtomicU64,
-    session_recognize_rebuild: AtomicU64,
-    last_log_nanos: AtomicU64,
+    scalars: [AtomicU64; SCALAR_SLOTS],
+    hists: [Histogram; HISTOGRAM_SLOTS],
 }
 
 impl Telemetry {
@@ -526,33 +784,8 @@ impl Telemetry {
         Telemetry {
             enabled,
             slow_log_micros,
-            stages: std::array::from_fn(|_| Histogram::new()),
-            request_kind: std::array::from_fn(|_| Histogram::new()),
-            request_outcome: std::array::from_fn(|_| Histogram::new()),
-            requests: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
-            transports: std::array::from_fn(|_| TransportCounters::default()),
-            snapshot_save: Histogram::new(),
-            snapshot_failures: AtomicU64::new(0),
-            snapshot_consecutive_failures: AtomicU64::new(0),
-            snapshot_last_unix: AtomicU64::new(0),
-            rejected_overload: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            inflight: AtomicI64::new(0),
-            pool_solves: AtomicU64::new(0),
-            pool_workers: AtomicU64::new(0),
-            pool_rounds: AtomicU64::new(0),
-            pool_steals: AtomicU64::new(0),
-            pool_barrier_waits: AtomicU64::new(0),
-            pool_barrier_wait_p50_us: AtomicU64::new(0),
-            pool_barrier_wait_p99_us: AtomicU64::new(0),
-            sessions_created: AtomicU64::new(0),
-            sessions_dropped: AtomicU64::new(0),
-            sessions_expired: AtomicU64::new(0),
-            sessions_live: AtomicI64::new(0),
-            session_mutations: AtomicU64::new(0),
-            session_recognize_incremental: AtomicU64::new(0),
-            session_recognize_rebuild: AtomicU64::new(0),
-            last_log_nanos: AtomicU64::new(0),
+            scalars: std::array::from_fn(|_| AtomicU64::new(0)),
+            hists: std::array::from_fn(|_| Histogram::new()),
         }
     }
 
@@ -584,279 +817,82 @@ impl Telemetry {
         }
     }
 
-    /// Records one stage segment in microseconds.
-    pub fn record_stage(&self, stage: Stage, micros: u64) {
+    /// Adds `delta` (negative to decrement a gauge) to one counter or
+    /// gauge series.
+    pub fn add(&self, metric: Metric, label: impl Label, delta: i64) {
         if self.enabled {
-            self.stages[stage.index()].record(micros);
+            self.scalars[slot(metric, label)].fetch_add(delta as u64, Ordering::Relaxed);
         }
     }
 
-    /// Records one completed request: bumps the kind × outcome counter
-    /// and both whole-request latency histograms.
-    pub fn record_request(&self, kind: QueryKind, outcome: Outcome, total_micros: u64) {
+    /// Adds one to a counter or gauge series.
+    pub fn inc(&self, metric: Metric, label: impl Label) {
+        self.add(metric, label, 1);
+    }
+
+    /// Overwrites a gauge series (or a counter mirrored from a lifetime
+    /// total kept elsewhere).
+    pub fn set(&self, metric: Metric, label: impl Label, value: u64) {
         if self.enabled {
-            self.requests[kind_index(kind)][outcome.index()].fetch_add(1, Ordering::Relaxed);
-            self.request_kind[kind_index(kind)].record(total_micros);
-            self.request_outcome[outcome.index()].record(total_micros);
+            self.scalars[slot(metric, label)].store(value, Ordering::Relaxed);
         }
     }
 
-    /// Whether a completed request deserves a structured log line: over
-    /// the `--slow-ms` threshold, or an internal failure — and inside the
-    /// rate limit (at most one line per 100ms process-wide).
+    /// Records one microsecond observation in a histogram series.
+    pub fn observe(&self, metric: Metric, label: impl Label, micros: u64) {
+        if self.enabled {
+            self.hists[slot(metric, label)].record(micros);
+        }
+    }
+
+    /// Whether a completed request is eligible for a structured
+    /// `slow_request` log line: over the `--slow-ms` threshold, or an
+    /// internal failure. Rate limiting is the emitter's job
+    /// ([`crate::log::rate_limited`]).
     pub fn should_log(&self, outcome: Outcome, total_micros: u64) -> bool {
-        if !self.enabled {
-            return false;
-        }
-        let eligible = matches!(outcome, Outcome::Internal)
-            || self
-                .slow_log_micros
-                .is_some_and(|threshold| total_micros >= threshold);
-        eligible && self.log_rate_ok()
+        self.enabled
+            && (matches!(outcome, Outcome::Internal)
+                || self
+                    .slow_log_micros
+                    .is_some_and(|threshold| total_micros >= threshold))
     }
 
-    fn log_rate_ok(&self) -> bool {
-        let now = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
-        let last = self.last_log_nanos.load(Ordering::Relaxed);
-        now.saturating_sub(last) >= LOG_RATE_LIMIT_NANOS
-            && self
-                .last_log_nanos
-                .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-    }
-
-    /// Records an accepted connection (bumps the accepted counter and the
-    /// active gauge).
-    pub fn conn_opened(&self, transport: Transport) {
-        if self.enabled {
-            let t = &self.transports[transport.index()];
-            t.accepted.fetch_add(1, Ordering::Relaxed);
-            t.active.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a closed connection (decrements the active gauge).
-    pub fn conn_closed(&self, transport: Transport) {
-        if self.enabled {
-            self.transports[transport.index()]
-                .active
-                .fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a connection closed by idle timeout.
-    pub fn idle_timeout(&self, transport: Transport) {
-        if self.enabled {
-            self.transports[transport.index()]
-                .idle_timeouts
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a frame/body rejected for exceeding the shared size cap.
-    pub fn oversize_reject(&self, transport: Transport) {
-        if self.enabled {
-            self.transports[transport.index()]
-                .oversize_rejects
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records an `accept()` failure on a listener (EMFILE and friends);
-    /// drives the accept loop's bounded backoff telemetry.
-    pub fn accept_error(&self, transport: Transport) {
-        if self.enabled {
-            self.transports[transport.index()]
-                .accept_errors
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a request shed under load (admission cap, per-connection
-    /// budget, connection cap, or an injected overload fault).
-    pub fn overload_rejected(&self) {
-        if self.enabled {
-            self.rejected_overload.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a request cut short because its deadline expired.
-    pub fn deadline_exceeded(&self) {
-        if self.enabled {
-            self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Bumps the in-flight work gauge (a request was admitted).
-    pub fn inflight_started(&self) {
-        if self.enabled {
-            self.inflight.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Decrements the in-flight work gauge (an admitted request finished).
-    pub fn inflight_finished(&self) {
-        if self.enabled {
-            self.inflight.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a successful snapshot checkpoint: its duration and the
-    /// wall-clock second it completed. Resets the consecutive-failure
-    /// streak.
-    pub fn checkpoint_saved(&self, micros: u64) {
-        if self.enabled {
-            self.snapshot_save.record(micros);
-            let unix = SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0);
-            self.snapshot_last_unix.store(unix, Ordering::Relaxed);
-            self.snapshot_consecutive_failures
-                .store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a failed snapshot checkpoint and extends the
-    /// consecutive-failure streak that drives the checkpointer's backoff.
-    pub fn checkpoint_failed(&self) {
-        if self.enabled {
-            self.snapshot_failures.fetch_add(1, Ordering::Relaxed);
-            self.snapshot_consecutive_failures
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records the work-stealing pool's cumulative statistics after a
-    /// parallel solve: the counters are lifetime totals of the engine's
-    /// pool, so the latest snapshot replaces the previous one, and a
-    /// separate counter tracks how many solves went through the pool.
-    pub fn record_pool(&self, stats: &PoolReport) {
-        if self.enabled {
-            self.pool_solves.fetch_add(1, Ordering::Relaxed);
-            self.pool_workers.store(stats.workers, Ordering::Relaxed);
-            self.pool_rounds.store(stats.rounds, Ordering::Relaxed);
-            self.pool_steals.store(stats.steals, Ordering::Relaxed);
-            self.pool_barrier_waits
-                .store(stats.barrier_waits, Ordering::Relaxed);
-            self.pool_barrier_wait_p50_us
-                .store(stats.barrier_wait_p50_us, Ordering::Relaxed);
-            self.pool_barrier_wait_p99_us
-                .store(stats.barrier_wait_p99_us, Ordering::Relaxed);
-        }
-    }
-
-    /// Publishes the pool's resolved worker count without booking a solve.
-    /// Called once at engine startup so the pool gauges exist (at zero
-    /// rounds/steals but the true worker count) before the first parallel
-    /// solve, instead of leaving dashboard gaps until the pool engages.
-    pub fn set_pool_workers(&self, workers: u64) {
-        if self.enabled {
-            self.pool_workers.store(workers, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a session handle being created.
-    pub fn session_created(&self) {
-        if self.enabled {
-            self.sessions_created.fetch_add(1, Ordering::Relaxed);
-            self.sessions_live.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a session handle dropped by an explicit `session_drop`.
-    pub fn session_dropped(&self) {
-        if self.enabled {
-            self.sessions_dropped.fetch_add(1, Ordering::Relaxed);
-            self.sessions_live.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a session handle reclaimed by the idle-TTL sweep.
-    pub fn session_expired(&self) {
-        if self.enabled {
-            self.sessions_expired.fetch_add(1, Ordering::Relaxed);
-            self.sessions_live.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a successful session mutation (vertex or edge change).
-    pub fn session_mutation(&self) {
-        if self.enabled {
-            self.session_mutations.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records how a session recognition ran: absorbed by the incremental
-    /// insertion pass, or fallen back to rebuild-from-scratch.
-    pub fn session_recognized(&self, incremental: bool) {
-        if self.enabled {
-            if incremental {
-                self.session_recognize_incremental
-                    .fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.session_recognize_rebuild
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Snapshots the registry (cache/uptime/version context is supplied
-    /// by the engine, which owns those).
+    /// Snapshots the registry and fills in the families derived from it
+    /// (whole-request duration) or owned by the engine (cache counters,
+    /// uptime).
     pub fn report(
         &self,
         cache: CacheStats,
         shards: Vec<ShardStats>,
         uptime_secs: u64,
     ) -> MetricsReport {
-        MetricsReport {
-            requests: std::array::from_fn(|k| {
-                std::array::from_fn(|o| self.requests[k][o].load(Ordering::Relaxed))
-            }),
-            stages: std::array::from_fn(|i| self.stages[i].snapshot()),
-            request_kind: std::array::from_fn(|i| self.request_kind[i].snapshot()),
-            request_outcome: std::array::from_fn(|i| self.request_outcome[i].snapshot()),
-            transports: std::array::from_fn(|i| TransportReport {
-                accepted: self.transports[i].accepted.load(Ordering::Relaxed),
-                active: self.transports[i].active.load(Ordering::Relaxed),
-                idle_timeouts: self.transports[i].idle_timeouts.load(Ordering::Relaxed),
-                oversize_rejects: self.transports[i].oversize_rejects.load(Ordering::Relaxed),
-                accept_errors: self.transports[i].accept_errors.load(Ordering::Relaxed),
-            }),
-            snapshot_save: self.snapshot_save.snapshot(),
-            snapshot_failures: self.snapshot_failures.load(Ordering::Relaxed),
-            snapshot_consecutive_failures: self
-                .snapshot_consecutive_failures
-                .load(Ordering::Relaxed),
-            snapshot_last_unix: self.snapshot_last_unix.load(Ordering::Relaxed),
-            rejected_overload: self.rejected_overload.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            inflight: self.inflight.load(Ordering::Relaxed),
-            pool_solves: self.pool_solves.load(Ordering::Relaxed),
-            pool: PoolReport {
-                workers: self.pool_workers.load(Ordering::Relaxed),
-                rounds: self.pool_rounds.load(Ordering::Relaxed),
-                steals: self.pool_steals.load(Ordering::Relaxed),
-                barrier_waits: self.pool_barrier_waits.load(Ordering::Relaxed),
-                barrier_wait_p50_us: self.pool_barrier_wait_p50_us.load(Ordering::Relaxed),
-                barrier_wait_p99_us: self.pool_barrier_wait_p99_us.load(Ordering::Relaxed),
-            },
-            sessions: SessionReport {
-                live: self.sessions_live.load(Ordering::Relaxed),
-                created: self.sessions_created.load(Ordering::Relaxed),
-                dropped: self.sessions_dropped.load(Ordering::Relaxed),
-                expired: self.sessions_expired.load(Ordering::Relaxed),
-                mutations: self.session_mutations.load(Ordering::Relaxed),
-                recognize_incremental: self.session_recognize_incremental.load(Ordering::Relaxed),
-                recognize_rebuild: self.session_recognize_rebuild.load(Ordering::Relaxed),
-            },
-            cache,
+        let mut report = MetricsReport {
+            scalars: self
+                .scalars
+                .iter()
+                .map(|v| v.load(Ordering::Relaxed))
+                .collect(),
+            hists: self.hists.iter().map(Histogram::snapshot).collect(),
             shards,
-            uptime_secs,
+        };
+        let duration = HistogramSnapshot::merge(
+            QueryKind::ALL.map(|kind| report.hist(Metric::RequestLatency, kind)),
+        );
+        for (metric, value) in [
+            (Metric::BuildInfo, 1),
+            (Metric::RequestDurationP50, duration.quantile(0.50)),
+            (Metric::RequestDurationP90, duration.quantile(0.90)),
+            (Metric::RequestDurationP99, duration.quantile(0.99)),
+            (Metric::CacheHits, cache.hits),
+            (Metric::CacheMisses, cache.misses),
+            (Metric::CacheEvictions, cache.evictions),
+            (Metric::CacheEntries, cache.entries as u64),
+            (Metric::Uptime, uptime_secs),
+        ] {
+            report.scalars[metric.base()] = value;
         }
+        report.hists[slot(Metric::RequestDuration, ())] = duration;
+        report
     }
 }
 
@@ -864,590 +900,139 @@ impl Telemetry {
 // Report + rendering
 // ---------------------------------------------------------------------------
 
-/// Point-in-time per-transport connection counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TransportReport {
-    /// Total connections accepted since start.
-    pub accepted: u64,
-    /// Currently open connections (gauge).
-    pub active: i64,
-    /// Connections closed by idle timeout.
-    pub idle_timeouts: u64,
-    /// Frames/bodies rejected for exceeding the shared size cap.
-    pub oversize_rejects: u64,
-    /// `accept()` failures on this transport's listener.
-    pub accept_errors: u64,
-}
-
-/// Point-in-time counters of the engine's work-stealing pool (the
-/// real-cores PRAM backend). All values are lifetime totals of the pool as
-/// of the most recent parallel solve; zeros when no solve has used the
-/// pool yet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PoolReport {
-    /// Worker threads of the pool (gauge).
-    pub workers: u64,
-    /// PRAM rounds executed (counter).
-    pub rounds: u64,
-    /// Chunks stolen from another worker's queue (counter).
-    pub steals: u64,
-    /// Barrier wait observations (counter).
-    pub barrier_waits: u64,
-    /// Median barrier wait in microseconds (gauge).
-    pub barrier_wait_p50_us: u64,
-    /// 99th-percentile barrier wait in microseconds (gauge).
-    pub barrier_wait_p99_us: u64,
-}
-
-/// Point-in-time counters of the daemon-resident session registry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SessionReport {
-    /// Live daemon-resident handles (gauge).
-    pub live: i64,
-    /// Sessions created since start.
-    pub created: u64,
-    /// Sessions released by an explicit `session_drop`.
-    pub dropped: u64,
-    /// Sessions reclaimed by the idle-TTL sweep.
-    pub expired: u64,
-    /// Successful mutations (vertex insertions, edge adds/removals).
-    pub mutations: u64,
-    /// Recognitions absorbed by the incremental insertion pass.
-    pub recognize_incremental: u64,
-    /// Recognitions that fell back to rebuild-from-scratch.
-    pub recognize_rebuild: u64,
-}
-
 /// A point-in-time copy of every metric the daemon exposes, renderable as
 /// structured JSON (`metrics` proto frame) or Prometheus text
 /// (`GET /v1/metrics`).
 #[derive(Debug, Clone)]
 pub struct MetricsReport {
-    /// Request counts, kind × outcome (registry order of [`QueryKind::ALL`] /
-    /// [`Outcome::ALL`]).
-    pub requests: [[u64; 4]; 5],
-    /// Per-stage latency histograms, [`Stage::ALL`] order.
-    pub stages: [HistogramSnapshot; 5],
-    /// Whole-request latency by query kind, [`QueryKind::ALL`] order.
-    pub request_kind: [HistogramSnapshot; 5],
-    /// Whole-request latency by outcome, [`Outcome::ALL`] order.
-    pub request_outcome: [HistogramSnapshot; 4],
-    /// Connection counters, [`Transport::ALL`] order.
-    pub transports: [TransportReport; 2],
-    /// Snapshot checkpoint durations.
-    pub snapshot_save: HistogramSnapshot,
-    /// Failed snapshot checkpoints.
-    pub snapshot_failures: u64,
-    /// Checkpoint failures since the last success (0 = healthy).
-    pub snapshot_consecutive_failures: u64,
-    /// Unix second of the last successful checkpoint (0 = never).
-    pub snapshot_last_unix: u64,
-    /// Requests shed under load (admission cap, budgets, injected faults).
-    pub rejected_overload: u64,
-    /// Requests cut short because their deadline expired.
-    pub deadline_exceeded: u64,
-    /// Requests currently admitted and executing (gauge).
-    pub inflight: i64,
-    /// Solves that ran on the work-stealing pool.
-    pub pool_solves: u64,
-    /// Work-stealing pool counters as of the latest parallel solve.
-    pub pool: PoolReport,
-    /// Session registry counters.
-    pub sessions: SessionReport,
-    /// Aggregate cache counters.
-    pub cache: CacheStats,
-    /// Per-shard cache counters.
-    pub shards: Vec<ShardStats>,
-    /// Engine uptime in whole seconds.
-    pub uptime_secs: u64,
+    scalars: Vec<u64>,
+    hists: Vec<HistogramSnapshot>,
+    shards: Vec<ShardStats>,
 }
 
 impl MetricsReport {
-    /// Total requests across all kinds and outcomes.
-    pub fn total_requests(&self) -> u64 {
-        self.requests.iter().flatten().sum()
+    /// One counter or gauge series (gauges clamp negative transients to 0).
+    pub fn get<L: Label>(&self, metric: Metric, label: L) -> u64 {
+        debug_assert_eq!(metric.family().axis, L::AXIS, "{metric:?}");
+        self.scalar_at(metric, label.index())
     }
 
-    /// Whole-request latency aggregated across every query kind: the
-    /// bucket-wise union of the per-kind histograms (bounds are shared, so
-    /// the merge is exact). Backs the `pc_request_duration` Prometheus
-    /// series an external scraper uses to compute its own quantiles.
-    pub fn request_duration(&self) -> HistogramSnapshot {
-        let mut merged = HistogramSnapshot {
-            buckets: [0; HISTOGRAM_BUCKETS],
-            count: 0,
-            sum: 0,
+    /// One histogram series.
+    pub fn hist(&self, metric: Metric, label: impl Label) -> &HistogramSnapshot {
+        &self.hists[slot(metric, label)]
+    }
+
+    /// Total requests across all kinds and outcomes.
+    pub fn total_requests(&self) -> u64 {
+        (0..Axis::KindOutcome.width())
+            .map(|i| self.scalar_at(Metric::Requests, i))
+            .sum()
+    }
+
+    fn scalar_at(&self, metric: Metric, i: usize) -> u64 {
+        let raw = match metric {
+            Metric::CacheShardHits => self.shards[i].hits,
+            Metric::CacheShardMisses => self.shards[i].misses,
+            _ => self.scalars[metric.base() + i],
         };
-        for snap in &self.request_kind {
-            for (i, &bucket) in snap.buckets.iter().enumerate() {
-                merged.buckets[i] += bucket;
-            }
-            merged.count += snap.count;
-            merged.sum += snap.sum;
+        match metric.family().ty {
+            Type::Gauge => (raw as i64).max(0) as u64,
+            _ => raw,
         }
-        merged
+    }
+
+    fn series_len(&self, metric: Metric) -> usize {
+        match metric.family().axis {
+            Axis::Shard => self.shards.len(),
+            axis => axis.width(),
+        }
     }
 
     /// Structured JSON rendering, used by the `metrics` proto frame,
-    /// `GET /v1/metrics?format=json` and `pathcover-cli metrics`.
+    /// `GET /v1/metrics?format=json` and `pathcover-cli metrics`: every
+    /// family with a JSON path, placed at that path in table order.
     pub fn to_json(&self) -> Json {
-        let requests = Json::Obj(
-            QueryKind::ALL
-                .iter()
-                .enumerate()
-                .map(|(k, kind)| {
-                    (
-                        kind.as_str().to_string(),
-                        Json::Obj(
-                            Outcome::ALL
-                                .iter()
-                                .enumerate()
-                                .map(|(o, outcome)| {
-                                    (outcome.as_str().to_string(), Json::num(self.requests[k][o]))
-                                })
-                                .collect(),
-                        ),
-                    )
-                })
-                .collect(),
-        );
-        let stages = Json::Obj(
-            Stage::ALL
-                .iter()
-                .enumerate()
-                .map(|(i, stage)| (stage.as_str().to_string(), self.stages[i].summary_json()))
-                .collect(),
-        );
-        let by_kind = Json::Obj(
-            QueryKind::ALL
-                .iter()
-                .enumerate()
-                .map(|(i, kind)| {
-                    (
-                        kind.as_str().to_string(),
-                        self.request_kind[i].summary_json(),
-                    )
-                })
-                .collect(),
-        );
-        let by_outcome = Json::Obj(
-            Outcome::ALL
-                .iter()
-                .enumerate()
-                .map(|(i, outcome)| {
-                    (
-                        outcome.as_str().to_string(),
-                        self.request_outcome[i].summary_json(),
-                    )
-                })
-                .collect(),
-        );
-        let connections = Json::Obj(
-            Transport::ALL
-                .iter()
-                .enumerate()
-                .map(|(i, transport)| {
-                    let t = &self.transports[i];
-                    (
-                        transport.as_str().to_string(),
+        let mut root = Json::obj(vec![("requests_total", Json::num(self.total_requests()))]);
+        for &metric in Metric::ALL {
+            let family = metric.family();
+            if family.axis == Axis::Shard {
+                if let Some(path) = family.json_path(0) {
+                    let per_shard = self.shards.iter().map(|s| {
                         Json::obj(vec![
-                            ("accepted", Json::num(t.accepted)),
-                            ("active", Json::num(t.active.max(0) as u64)),
-                            ("idle_timeouts", Json::num(t.idle_timeouts)),
-                            ("oversize_rejects", Json::num(t.oversize_rejects)),
-                            ("accept_errors", Json::num(t.accept_errors)),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        let per_shard = Json::Arr(
-            self.shards
-                .iter()
-                .map(|s| {
-                    Json::obj(vec![
-                        ("hits", Json::num(s.hits)),
-                        ("misses", Json::num(s.misses)),
-                        ("evictions", Json::num(s.evictions)),
-                        ("entries", Json::num(s.entries as u64)),
-                    ])
-                })
-                .collect(),
-        );
-        Json::obj(vec![
-            ("requests_total", Json::num(self.total_requests())),
-            ("requests", requests),
-            ("stages", stages),
-            ("request_latency_by_kind", by_kind),
-            ("request_latency_by_outcome", by_outcome),
-            ("connections", connections),
-            (
-                "resilience",
-                Json::obj(vec![
-                    ("rejected_overload", Json::num(self.rejected_overload)),
-                    ("deadline_exceeded", Json::num(self.deadline_exceeded)),
-                    ("inflight", Json::num(self.inflight.max(0) as u64)),
-                ]),
-            ),
-            (
-                "snapshot",
-                Json::obj(vec![
-                    ("checkpoints", self.snapshot_save.summary_json()),
-                    ("failures", Json::num(self.snapshot_failures)),
-                    (
-                        "consecutive_failures",
-                        Json::num(self.snapshot_consecutive_failures),
-                    ),
-                    ("last_success_unix", Json::num(self.snapshot_last_unix)),
-                ]),
-            ),
-            (
-                "pool",
-                Json::obj(vec![
-                    ("solves", Json::num(self.pool_solves)),
-                    ("workers", Json::num(self.pool.workers)),
-                    ("rounds", Json::num(self.pool.rounds)),
-                    ("steals", Json::num(self.pool.steals)),
-                    ("barrier_waits", Json::num(self.pool.barrier_waits)),
-                    (
-                        "barrier_wait_p50_us",
-                        Json::num(self.pool.barrier_wait_p50_us),
-                    ),
-                    (
-                        "barrier_wait_p99_us",
-                        Json::num(self.pool.barrier_wait_p99_us),
-                    ),
-                ]),
-            ),
-            (
-                "sessions",
-                Json::obj(vec![
-                    ("live", Json::num(self.sessions.live.max(0) as u64)),
-                    ("created", Json::num(self.sessions.created)),
-                    ("dropped", Json::num(self.sessions.dropped)),
-                    ("expired", Json::num(self.sessions.expired)),
-                    ("mutations", Json::num(self.sessions.mutations)),
-                    (
-                        "recognize_incremental",
-                        Json::num(self.sessions.recognize_incremental),
-                    ),
-                    (
-                        "recognize_rebuild",
-                        Json::num(self.sessions.recognize_rebuild),
-                    ),
-                ]),
-            ),
-            (
-                "cache",
-                Json::obj(vec![
-                    ("hits", Json::num(self.cache.hits)),
-                    ("misses", Json::num(self.cache.misses)),
-                    ("evictions", Json::num(self.cache.evictions)),
-                    ("entries", Json::num(self.cache.entries as u64)),
-                    ("per_shard", per_shard),
-                ]),
-            ),
-            ("uptime_secs", Json::num(self.uptime_secs)),
-        ])
+                            ("hits", Json::num(s.hits)),
+                            ("misses", Json::num(s.misses)),
+                            ("evictions", Json::num(s.evictions)),
+                            ("entries", Json::num(s.entries as u64)),
+                        ])
+                    });
+                    insert_at(&mut root, &path, Json::Arr(per_shard.collect()));
+                }
+                continue;
+            }
+            for i in 0..family.axis.width() {
+                let Some(path) = family.json_path(i) else {
+                    break;
+                };
+                let value = match family.ty {
+                    Type::Histogram => self.hists[metric.base() + i].summary_json(),
+                    _ => Json::num(self.scalar_at(metric, i)),
+                };
+                insert_at(&mut root, &path, value);
+            }
+        }
+        root
     }
 
     /// Prometheus text exposition (format 0.0.4) rendering, served by
-    /// `GET /v1/metrics`. Histograms use cumulative `le` buckets over the
-    /// power-of-two bounds plus `+Inf`; all latency units are
-    /// microseconds (suffix `_us`).
+    /// `GET /v1/metrics`: every family in table order. Histograms use
+    /// cumulative `le` buckets over the power-of-two bounds plus `+Inf`;
+    /// all latency units are microseconds (suffix `_us`).
     pub fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(16 * 1024);
-
-        out.push_str(&format!(
-            "# HELP pc_build_info Build identification of this daemon; always 1.\n\
-             # TYPE pc_build_info gauge\n\
-             pc_build_info{{version=\"{}\",rust_version=\"{}\",profile=\"{}\"}} 1\n",
-            env!("CARGO_PKG_VERSION"),
-            option_env!("CARGO_PKG_RUST_VERSION").unwrap_or("unknown"),
-            if cfg!(debug_assertions) {
-                "debug"
-            } else {
-                "release"
-            }
-        ));
-
-        out.push_str("# HELP pc_requests_total Requests completed, by query kind and outcome.\n");
-        out.push_str("# TYPE pc_requests_total counter\n");
-        for (k, kind) in QueryKind::ALL.iter().enumerate() {
-            for (o, outcome) in Outcome::ALL.iter().enumerate() {
-                out.push_str(&format!(
-                    "pc_requests_total{{kind=\"{}\",outcome=\"{}\"}} {}\n",
-                    kind.as_str(),
-                    outcome.as_str(),
-                    self.requests[k][o]
-                ));
+        let mut out = String::with_capacity(48 * 1024);
+        for &metric in Metric::ALL {
+            let family = metric.family();
+            let name = family.name;
+            let _ = writeln!(out, "# HELP {name} {}", family.help);
+            let _ = writeln!(out, "# TYPE {name} {}", family.ty.as_str());
+            for i in 0..self.series_len(metric) {
+                let labels: Vec<String> = family
+                    .axis
+                    .labels(i)
+                    .iter()
+                    .map(|(key, value)| format!("{key}=\"{value}\""))
+                    .collect();
+                let labels = labels.join(",");
+                if family.ty == Type::Histogram {
+                    let snap = &self.hists[metric.base() + i];
+                    render_histogram(&mut out, name, &labels, snap);
+                } else if labels.is_empty() {
+                    let _ = writeln!(out, "{name} {}", self.scalar_at(metric, i));
+                } else {
+                    let _ = writeln!(out, "{name}{{{labels}}} {}", self.scalar_at(metric, i));
+                }
             }
         }
-
-        out.push_str(
-            "# HELP pc_stage_latency_us Per-stage pipeline latency in microseconds.\n\
-             # TYPE pc_stage_latency_us histogram\n",
-        );
-        for (i, stage) in Stage::ALL.iter().enumerate() {
-            render_histogram(
-                &mut out,
-                "pc_stage_latency_us",
-                &format!("stage=\"{}\"", stage.as_str()),
-                &self.stages[i],
-            );
-        }
-
-        out.push_str(
-            "# HELP pc_request_latency_us Whole-request latency in microseconds, by query kind.\n\
-             # TYPE pc_request_latency_us histogram\n",
-        );
-        for (i, kind) in QueryKind::ALL.iter().enumerate() {
-            render_histogram(
-                &mut out,
-                "pc_request_latency_us",
-                &format!("kind=\"{}\"", kind.as_str()),
-                &self.request_kind[i],
-            );
-        }
-
-        out.push_str(
-            "# HELP pc_request_outcome_latency_us Whole-request latency in microseconds, by outcome.\n\
-             # TYPE pc_request_outcome_latency_us histogram\n",
-        );
-        for (i, outcome) in Outcome::ALL.iter().enumerate() {
-            render_histogram(
-                &mut out,
-                "pc_request_outcome_latency_us",
-                &format!("outcome=\"{}\"", outcome.as_str()),
-                &self.request_outcome[i],
-            );
-        }
-
-        // Aggregate request duration: one unlabelled cumulative histogram
-        // (same power-of-two microsecond bounds as every other series) so
-        // an external Prometheus can run its own histogram_quantile, plus
-        // the precomputed quantile gauges for dashboards that want the
-        // daemon's view.
-        let duration = self.request_duration();
-        out.push_str(
-            "# HELP pc_request_duration Whole-request latency in microseconds, all query kinds.\n\
-             # TYPE pc_request_duration histogram\n",
-        );
-        render_histogram(&mut out, "pc_request_duration", "", &duration);
-        out.push_str(&format!(
-            "# HELP pc_request_duration_p50_us Precomputed median whole-request latency in microseconds.\n\
-             # TYPE pc_request_duration_p50_us gauge\n\
-             pc_request_duration_p50_us {}\n\
-             # HELP pc_request_duration_p90_us Precomputed p90 whole-request latency in microseconds.\n\
-             # TYPE pc_request_duration_p90_us gauge\n\
-             pc_request_duration_p90_us {}\n\
-             # HELP pc_request_duration_p99_us Precomputed p99 whole-request latency in microseconds.\n\
-             # TYPE pc_request_duration_p99_us gauge\n\
-             pc_request_duration_p99_us {}\n",
-            duration.quantile(0.50),
-            duration.quantile(0.90),
-            duration.quantile(0.99)
-        ));
-
-        out.push_str(
-            "# HELP pc_connections_accepted_total Connections accepted, by transport.\n\
-             # TYPE pc_connections_accepted_total counter\n",
-        );
-        for (i, transport) in Transport::ALL.iter().enumerate() {
-            out.push_str(&format!(
-                "pc_connections_accepted_total{{transport=\"{}\"}} {}\n",
-                transport.as_str(),
-                self.transports[i].accepted
-            ));
-        }
-        out.push_str(
-            "# HELP pc_connections_active Currently open connections, by transport.\n\
-             # TYPE pc_connections_active gauge\n",
-        );
-        for (i, transport) in Transport::ALL.iter().enumerate() {
-            out.push_str(&format!(
-                "pc_connections_active{{transport=\"{}\"}} {}\n",
-                transport.as_str(),
-                self.transports[i].active.max(0)
-            ));
-        }
-        out.push_str(
-            "# HELP pc_idle_timeouts_total Connections closed by idle timeout, by transport.\n\
-             # TYPE pc_idle_timeouts_total counter\n",
-        );
-        for (i, transport) in Transport::ALL.iter().enumerate() {
-            out.push_str(&format!(
-                "pc_idle_timeouts_total{{transport=\"{}\"}} {}\n",
-                transport.as_str(),
-                self.transports[i].idle_timeouts
-            ));
-        }
-        out.push_str(
-            "# HELP pc_oversize_rejects_total Frames or bodies rejected over the size cap, by transport.\n\
-             # TYPE pc_oversize_rejects_total counter\n",
-        );
-        for (i, transport) in Transport::ALL.iter().enumerate() {
-            out.push_str(&format!(
-                "pc_oversize_rejects_total{{transport=\"{}\"}} {}\n",
-                transport.as_str(),
-                self.transports[i].oversize_rejects
-            ));
-        }
-
-        out.push_str(
-            "# HELP pc_accept_errors_total Listener accept() failures, by transport.\n\
-             # TYPE pc_accept_errors_total counter\n",
-        );
-        for (i, transport) in Transport::ALL.iter().enumerate() {
-            out.push_str(&format!(
-                "pc_accept_errors_total{{transport=\"{}\"}} {}\n",
-                transport.as_str(),
-                self.transports[i].accept_errors
-            ));
-        }
-        out.push_str(&format!(
-            "# HELP pc_rejected_overload_total Requests shed under load (admission cap, budgets, injected faults).\n\
-             # TYPE pc_rejected_overload_total counter\n\
-             pc_rejected_overload_total {}\n\
-             # HELP pc_deadline_exceeded_total Requests cut short because their deadline expired.\n\
-             # TYPE pc_deadline_exceeded_total counter\n\
-             pc_deadline_exceeded_total {}\n\
-             # HELP pc_inflight_requests Requests currently admitted and executing.\n\
-             # TYPE pc_inflight_requests gauge\n\
-             pc_inflight_requests {}\n",
-            self.rejected_overload,
-            self.deadline_exceeded,
-            self.inflight.max(0)
-        ));
-
-        out.push_str(
-            "# HELP pc_snapshot_checkpoint_duration_us Snapshot checkpoint duration in microseconds.\n\
-             # TYPE pc_snapshot_checkpoint_duration_us histogram\n",
-        );
-        render_histogram(
-            &mut out,
-            "pc_snapshot_checkpoint_duration_us",
-            "",
-            &self.snapshot_save,
-        );
-        out.push_str(&format!(
-            "# HELP pc_snapshot_failures_total Failed snapshot checkpoints.\n\
-             # TYPE pc_snapshot_failures_total counter\n\
-             pc_snapshot_failures_total {}\n\
-             # HELP pc_snapshot_consecutive_failures Checkpoint failures since the last success.\n\
-             # TYPE pc_snapshot_consecutive_failures gauge\n\
-             pc_snapshot_consecutive_failures {}\n\
-             # HELP pc_snapshot_last_success_unixtime Unix time of the last successful checkpoint (0 = never).\n\
-             # TYPE pc_snapshot_last_success_unixtime gauge\n\
-             pc_snapshot_last_success_unixtime {}\n",
-            self.snapshot_failures, self.snapshot_consecutive_failures, self.snapshot_last_unix
-        ));
-
-        out.push_str(&format!(
-            "# HELP pc_pool_solves_total Solves executed on the work-stealing pool.\n\
-             # TYPE pc_pool_solves_total counter\n\
-             pc_pool_solves_total {}\n\
-             # HELP pc_pool_workers Worker threads of the engine's work-stealing pool.\n\
-             # TYPE pc_pool_workers gauge\n\
-             pc_pool_workers {}\n\
-             # HELP pc_pool_rounds_total PRAM rounds executed by the pool.\n\
-             # TYPE pc_pool_rounds_total counter\n\
-             pc_pool_rounds_total {}\n\
-             # HELP pc_pool_steals_total Chunks stolen between pool workers.\n\
-             # TYPE pc_pool_steals_total counter\n\
-             pc_pool_steals_total {}\n\
-             # HELP pc_pool_barrier_waits_total Barrier wait observations in the pool.\n\
-             # TYPE pc_pool_barrier_waits_total counter\n\
-             pc_pool_barrier_waits_total {}\n\
-             # HELP pc_pool_barrier_wait_p50_us Median pool barrier wait in microseconds.\n\
-             # TYPE pc_pool_barrier_wait_p50_us gauge\n\
-             pc_pool_barrier_wait_p50_us {}\n\
-             # HELP pc_pool_barrier_wait_p99_us 99th-percentile pool barrier wait in microseconds.\n\
-             # TYPE pc_pool_barrier_wait_p99_us gauge\n\
-             pc_pool_barrier_wait_p99_us {}\n",
-            self.pool_solves,
-            self.pool.workers,
-            self.pool.rounds,
-            self.pool.steals,
-            self.pool.barrier_waits,
-            self.pool.barrier_wait_p50_us,
-            self.pool.barrier_wait_p99_us
-        ));
-
-        out.push_str(&format!(
-            "# HELP pc_sessions_live Live daemon-resident session handles.\n\
-             # TYPE pc_sessions_live gauge\n\
-             pc_sessions_live {}\n\
-             # HELP pc_sessions_created_total Session handles created.\n\
-             # TYPE pc_sessions_created_total counter\n\
-             pc_sessions_created_total {}\n\
-             # HELP pc_sessions_dropped_total Session handles released by session_drop.\n\
-             # TYPE pc_sessions_dropped_total counter\n\
-             pc_sessions_dropped_total {}\n\
-             # HELP pc_sessions_expired_total Session handles reclaimed by the idle-TTL sweep.\n\
-             # TYPE pc_sessions_expired_total counter\n\
-             pc_sessions_expired_total {}\n\
-             # HELP pc_session_mutations_total Successful session mutations.\n\
-             # TYPE pc_session_mutations_total counter\n\
-             pc_session_mutations_total {}\n\
-             # HELP pc_session_recognize_incremental_total Session recognitions absorbed incrementally.\n\
-             # TYPE pc_session_recognize_incremental_total counter\n\
-             pc_session_recognize_incremental_total {}\n\
-             # HELP pc_session_recognize_rebuild_total Session recognitions that rebuilt from scratch.\n\
-             # TYPE pc_session_recognize_rebuild_total counter\n\
-             pc_session_recognize_rebuild_total {}\n",
-            self.sessions.live.max(0),
-            self.sessions.created,
-            self.sessions.dropped,
-            self.sessions.expired,
-            self.sessions.mutations,
-            self.sessions.recognize_incremental,
-            self.sessions.recognize_rebuild
-        ));
-
-        out.push_str(&format!(
-            "# HELP pc_cache_hits_total Cache hits across all shards.\n\
-             # TYPE pc_cache_hits_total counter\n\
-             pc_cache_hits_total {}\n\
-             # HELP pc_cache_misses_total Cache misses across all shards.\n\
-             # TYPE pc_cache_misses_total counter\n\
-             pc_cache_misses_total {}\n\
-             # HELP pc_cache_evictions_total Cache evictions across all shards.\n\
-             # TYPE pc_cache_evictions_total counter\n\
-             pc_cache_evictions_total {}\n\
-             # HELP pc_cache_entries Live cache entries across all shards.\n\
-             # TYPE pc_cache_entries gauge\n\
-             pc_cache_entries {}\n",
-            self.cache.hits, self.cache.misses, self.cache.evictions, self.cache.entries
-        ));
-        out.push_str(
-            "# HELP pc_cache_shard_hits_total Cache hits per shard.\n\
-             # TYPE pc_cache_shard_hits_total counter\n",
-        );
-        for (i, shard) in self.shards.iter().enumerate() {
-            out.push_str(&format!(
-                "pc_cache_shard_hits_total{{shard=\"{i}\"}} {}\n",
-                shard.hits
-            ));
-        }
-        out.push_str(
-            "# HELP pc_cache_shard_misses_total Cache misses per shard.\n\
-             # TYPE pc_cache_shard_misses_total counter\n",
-        );
-        for (i, shard) in self.shards.iter().enumerate() {
-            out.push_str(&format!(
-                "pc_cache_shard_misses_total{{shard=\"{i}\"}} {}\n",
-                shard.misses
-            ));
-        }
-
-        out.push_str(&format!(
-            "# HELP pc_uptime_seconds Engine uptime in seconds.\n\
-             # TYPE pc_uptime_seconds gauge\n\
-             pc_uptime_seconds {}\n",
-            self.uptime_secs
-        ));
         out
+    }
+}
+
+/// Sets `path` inside a JSON object tree, creating intermediate objects
+/// in first-insertion order.
+fn insert_at(node: &mut Json, path: &[String], value: Json) {
+    let (Json::Obj(fields), Some((key, rest))) = (node, path.split_first()) else {
+        return;
+    };
+    let index = match fields.iter().position(|(k, _)| k == key) {
+        Some(index) => index,
+        None => {
+            fields.push((key.clone(), Json::Obj(Vec::new())));
+            fields.len() - 1
+        }
+    };
+    if rest.is_empty() {
+        fields[index].1 = value;
+    } else {
+        insert_at(&mut fields[index].1, rest, value);
     }
 }
 
@@ -1456,6 +1041,11 @@ impl MetricsReport {
 /// `+Inf` bucket, then `_sum` and `_count`.
 fn render_histogram(out: &mut String, name: &str, labels: &str, snap: &HistogramSnapshot) {
     let mut cumulative = 0u64;
+    let prefix = if labels.is_empty() {
+        String::new()
+    } else {
+        format!("{labels},")
+    };
     for (i, &bucket) in snap.buckets.iter().enumerate() {
         cumulative += bucket;
         let le = if i == HISTOGRAM_BUCKETS - 1 {
@@ -1463,21 +1053,15 @@ fn render_histogram(out: &mut String, name: &str, labels: &str, snap: &Histogram
         } else {
             Histogram::bucket_upper(i).to_string()
         };
-        if labels.is_empty() {
-            out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
-        } else {
-            out.push_str(&format!(
-                "{name}_bucket{{{labels},le=\"{le}\"}} {cumulative}\n"
-            ));
-        }
+        let _ = writeln!(out, "{name}_bucket{{{prefix}le=\"{le}\"}} {cumulative}");
     }
     let suffix = if labels.is_empty() {
         String::new()
     } else {
         format!("{{{labels}}}")
     };
-    out.push_str(&format!("{name}_sum{suffix} {}\n", snap.sum));
-    out.push_str(&format!("{name}_count{suffix} {}\n", snap.count));
+    let _ = writeln!(out, "{name}_sum{suffix} {}", snap.sum);
+    let _ = writeln!(out, "{name}_count{suffix} {}", snap.count);
 }
 
 #[cfg(test)]
@@ -1597,24 +1181,22 @@ mod tests {
     #[test]
     fn disabled_registry_records_nothing() {
         let tel = Telemetry::new(false, Some(0));
-        tel.record_stage(Stage::Solve, 10);
-        tel.record_request(QueryKind::Recognize, Outcome::Ok, 10);
-        tel.conn_opened(Transport::Http);
-        tel.checkpoint_saved(5);
+        tel.observe(Metric::StageLatency, Stage::Solve, 10);
+        tel.inc(Metric::Requests, (QueryKind::Recognize, Outcome::Ok));
+        tel.inc(Metric::ConnectionsAccepted, Transport::Http);
+        tel.observe(Metric::SnapshotCheckpoint, (), 5);
         assert!(!tel.should_log(Outcome::Internal, u64::MAX));
         let report = tel.report(CacheStats::default(), Vec::new(), 0);
         assert_eq!(report.total_requests(), 0);
-        assert_eq!(report.stages[Stage::Solve.index()].count, 0);
-        assert_eq!(report.transports[Transport::Http.index()].accepted, 0);
+        assert_eq!(report.hist(Metric::StageLatency, Stage::Solve).count, 0);
+        assert_eq!(report.get(Metric::ConnectionsAccepted, Transport::Http), 0);
     }
 
     #[test]
-    fn slow_log_gate_honours_threshold_and_rate_limit() {
+    fn slow_log_gate_honours_threshold() {
         let tel = Telemetry::new(true, Some(1_000));
         assert!(!tel.should_log(Outcome::Ok, 999));
         assert!(tel.should_log(Outcome::Ok, 1_000));
-        // Immediately after a line the limiter suppresses the next one.
-        assert!(!tel.should_log(Outcome::Ok, 50_000));
         // No threshold configured: only internal failures qualify.
         let quiet = Telemetry::new(true, None);
         assert!(!quiet.should_log(Outcome::Ok, u64::MAX));
@@ -1636,11 +1218,13 @@ mod tests {
     #[test]
     fn prometheus_rendering_is_line_parseable() {
         let tel = Telemetry::new(true, None);
-        tel.record_request(QueryKind::FullCover, Outcome::Ok, 300);
-        tel.record_stage(Stage::Solve, 120);
-        tel.conn_opened(Transport::Framed);
-        tel.oversize_reject(Transport::Http);
-        tel.checkpoint_saved(2_000);
+        tel.inc(Metric::Requests, (QueryKind::FullCover, Outcome::Ok));
+        tel.observe(Metric::RequestLatency, QueryKind::FullCover, 300);
+        tel.observe(Metric::OutcomeLatency, Outcome::Ok, 300);
+        tel.observe(Metric::StageLatency, Stage::Solve, 120);
+        tel.inc(Metric::ConnectionsAccepted, Transport::Framed);
+        tel.inc(Metric::OversizeRejects, Transport::Http);
+        tel.observe(Metric::SnapshotCheckpoint, (), 2_000);
         let report = tel.report(CacheStats::default(), Vec::new(), 7);
         let text = report.to_prometheus();
         let mut samples = 0usize;
@@ -1689,9 +1273,12 @@ mod tests {
     #[test]
     fn metrics_json_mirrors_the_registry() {
         let tel = Telemetry::new(true, None);
-        tel.record_request(QueryKind::MinCoverSize, Outcome::Ok, 40);
-        tel.record_request(QueryKind::MinCoverSize, Outcome::Invalid, 10);
-        tel.record_stage(Stage::Ingest, 5);
+        tel.inc(Metric::Requests, (QueryKind::MinCoverSize, Outcome::Ok));
+        tel.inc(
+            Metric::Requests,
+            (QueryKind::MinCoverSize, Outcome::Invalid),
+        );
+        tel.observe(Metric::StageLatency, Stage::Ingest, 5);
         let report = tel.report(CacheStats::default(), Vec::new(), 3);
         let json = report.to_json();
         assert_eq!(json.get("requests_total").and_then(Json::as_u64), Some(2));
@@ -1712,30 +1299,30 @@ mod tests {
     #[test]
     fn resilience_counters_round_trip() {
         let tel = Telemetry::new(true, None);
-        tel.overload_rejected();
-        tel.overload_rejected();
-        tel.deadline_exceeded();
-        tel.inflight_started();
-        tel.accept_error(Transport::Framed);
-        tel.checkpoint_failed();
-        tel.checkpoint_failed();
+        tel.inc(Metric::RejectedOverload, ());
+        tel.inc(Metric::RejectedOverload, ());
+        tel.inc(Metric::DeadlineExceeded, ());
+        tel.inc(Metric::Inflight, ());
+        tel.inc(Metric::AcceptErrors, Transport::Framed);
+        for _ in 0..2 {
+            tel.inc(Metric::SnapshotFailures, ());
+            tel.inc(Metric::SnapshotConsecutiveFailures, ());
+        }
         let report = tel.report(CacheStats::default(), Vec::new(), 0);
-        assert_eq!(report.rejected_overload, 2);
-        assert_eq!(report.deadline_exceeded, 1);
-        assert_eq!(report.inflight, 1);
-        assert_eq!(
-            report.transports[Transport::Framed.index()].accept_errors,
-            1
-        );
-        assert_eq!(report.snapshot_consecutive_failures, 2);
-        assert_eq!(report.snapshot_failures, 2);
+        assert_eq!(report.get(Metric::RejectedOverload, ()), 2);
+        assert_eq!(report.get(Metric::DeadlineExceeded, ()), 1);
+        assert_eq!(report.get(Metric::Inflight, ()), 1);
+        assert_eq!(report.get(Metric::AcceptErrors, Transport::Framed), 1);
+        assert_eq!(report.get(Metric::SnapshotConsecutiveFailures, ()), 2);
+        assert_eq!(report.get(Metric::SnapshotFailures, ()), 2);
         // A success resets the streak but not the lifetime total.
-        tel.checkpoint_saved(10);
-        tel.inflight_finished();
+        tel.observe(Metric::SnapshotCheckpoint, (), 10);
+        tel.set(Metric::SnapshotConsecutiveFailures, (), 0);
+        tel.add(Metric::Inflight, (), -1);
         let report = tel.report(CacheStats::default(), Vec::new(), 0);
-        assert_eq!(report.snapshot_consecutive_failures, 0);
-        assert_eq!(report.snapshot_failures, 2);
-        assert_eq!(report.inflight, 0);
+        assert_eq!(report.get(Metric::SnapshotConsecutiveFailures, ()), 0);
+        assert_eq!(report.get(Metric::SnapshotFailures, ()), 2);
+        assert_eq!(report.get(Metric::Inflight, ()), 0);
         let json = report.to_json();
         let resilience = json.get("resilience").expect("resilience block");
         assert_eq!(
@@ -1773,5 +1360,47 @@ mod tests {
         let ctx = RequestCtx::with_trace("t").with_deadline_ms(Some(60_000));
         assert!(!ctx.deadline_expired());
         assert!(ctx.with_deadline_ms(None).deadline.is_none());
+    }
+
+    #[test]
+    fn label_indices_follow_all_order() {
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+            assert_eq!(stage.index(), i);
+        }
+        for (i, outcome) in Outcome::ALL.into_iter().enumerate() {
+            assert_eq!(outcome.index(), i);
+        }
+        for (i, transport) in Transport::ALL.into_iter().enumerate() {
+            assert_eq!(transport.index(), i);
+        }
+        for (i, kind) in QueryKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), i);
+        }
+        assert_eq!((QueryKind::Recognize, Outcome::Internal).index(), 19);
+    }
+
+    #[test]
+    fn every_family_is_declared_once_and_documented_in_the_readme() {
+        let readme = include_str!("../../../README.md");
+        let mut seen = std::collections::HashSet::new();
+        for &metric in Metric::ALL {
+            let name = metric.family().name;
+            assert!(seen.insert(name), "{name} declared twice");
+            assert!(
+                readme.contains(&format!("`{name}`")),
+                "README's metrics table lacks `{name}`"
+            );
+        }
+    }
+
+    #[test]
+    fn negative_gauge_transients_render_as_zero() {
+        let tel = Telemetry::new(true, None);
+        tel.add(Metric::ConnectionsActive, Transport::Http, -1);
+        let report = tel.report(CacheStats::default(), Vec::new(), 0);
+        assert_eq!(report.get(Metric::ConnectionsActive, Transport::Http), 0);
+        assert!(report
+            .to_prometheus()
+            .contains("pc_connections_active{transport=\"http\"} 0\n"));
     }
 }

@@ -5,8 +5,8 @@
 //! line, label set, bucket bounds, JSON key or nesting fails here.
 
 use pcservice::cache::{CacheStats, ShardStats};
-use pcservice::telemetry::{PoolReport, Telemetry};
-use pcservice::{proto, Json, Outcome, QueryEngine, QueryKind, Stage, Transport};
+use pcservice::telemetry::Telemetry;
+use pcservice::{proto, Json, Metric, Outcome, QueryEngine, QueryKind, Stage, Transport};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 const EXPECTED_JSON: &str = include_str!("fixtures/metrics_surface.json");
@@ -30,79 +30,52 @@ fn filled_registry() -> Telemetry {
         for (o, &outcome) in Outcome::ALL.iter().enumerate() {
             let n = 1 + 4 * k as u64 + o as u64;
             for j in 0..n {
-                tel.record_request(kind, outcome, 10 * n + 7 * j);
+                tel.inc(Metric::Requests, (kind, outcome));
+                tel.observe(Metric::RequestLatency, kind, 10 * n + 7 * j);
+                tel.observe(Metric::OutcomeLatency, outcome, 10 * n + 7 * j);
             }
         }
     }
     for (i, &stage) in Stage::ALL.iter().enumerate() {
         for j in 0..(i as u64 + 2) {
-            tel.record_stage(stage, (5u64 << (3 * i)) + j);
+            tel.observe(Metric::StageLatency, stage, (5u64 << (3 * i)) + j);
         }
     }
     for (t, &transport) in Transport::ALL.iter().enumerate() {
-        let t = t as u64;
-        for _ in 0..(6 + t) {
-            tel.conn_opened(transport);
-        }
-        for _ in 0..(1 + 3 * t) {
-            tel.conn_closed(transport);
-        }
-        for _ in 0..(8 + t) {
-            tel.idle_timeout(transport);
-        }
-        for _ in 0..(10 + t) {
-            tel.oversize_reject(transport);
-        }
-        for _ in 0..(12 + t) {
-            tel.accept_error(transport);
-        }
+        let t = t as i64;
+        tel.add(Metric::ConnectionsAccepted, transport, 6 + t);
+        tel.add(Metric::ConnectionsActive, transport, 6 + t);
+        tel.add(Metric::ConnectionsActive, transport, -(1 + 3 * t));
+        tel.add(Metric::IdleTimeouts, transport, 8 + t);
+        tel.add(Metric::OversizeRejects, transport, 10 + t);
+        tel.add(Metric::AcceptErrors, transport, 12 + t);
     }
-    for _ in 0..14 {
-        tel.overload_rejected();
+    tel.add(Metric::RejectedOverload, (), 14);
+    tel.add(Metric::DeadlineExceeded, (), 15);
+    tel.add(Metric::Inflight, (), 19 - 3);
+    tel.observe(Metric::SnapshotCheckpoint, (), 1_500);
+    tel.observe(Metric::SnapshotCheckpoint, (), 2_600);
+    tel.set(Metric::SnapshotLastSuccess, (), unix_now());
+    tel.add(Metric::SnapshotFailures, (), 20 + 18);
+    tel.set(Metric::SnapshotConsecutiveFailures, (), 18);
+    tel.add(Metric::PoolSolves, (), 27);
+    for (metric, value) in [
+        (Metric::PoolWorkers, 21),
+        (Metric::PoolRounds, 22),
+        (Metric::PoolSteals, 23),
+        (Metric::PoolBarrierWaits, 24),
+        (Metric::PoolBarrierWaitP50, 25),
+        (Metric::PoolBarrierWaitP99, 26),
+    ] {
+        tel.set(metric, (), value);
     }
-    for _ in 0..15 {
-        tel.deadline_exceeded();
-    }
-    for _ in 0..19 {
-        tel.inflight_started();
-    }
-    for _ in 0..3 {
-        tel.inflight_finished();
-    }
-    for _ in 0..20 {
-        tel.checkpoint_failed();
-    }
-    tel.checkpoint_saved(1_500);
-    tel.checkpoint_saved(2_600);
-    for _ in 0..18 {
-        tel.checkpoint_failed();
-    }
-    for _ in 0..27 {
-        tel.record_pool(&PoolReport {
-            workers: 21,
-            rounds: 22,
-            steals: 23,
-            barrier_waits: 24,
-            barrier_wait_p50_us: 25,
-            barrier_wait_p99_us: 26,
-        });
-    }
-    for _ in 0..40 {
-        tel.session_created();
-    }
-    for _ in 0..29 {
-        tel.session_dropped();
-    }
-    tel.session_expired();
-    for _ in 0..30 {
-        tel.session_mutation();
-    }
-    for _ in 0..31 {
-        tel.session_recognized(true);
-    }
-    for _ in 0..32 {
-        tel.session_recognized(false);
-    }
+    tel.add(Metric::SessionsCreated, (), 40);
+    tel.add(Metric::SessionsDropped, (), 29);
+    tel.inc(Metric::SessionsExpired, ());
+    tel.add(Metric::SessionsLive, (), 40 - 29 - 1);
+    tel.add(Metric::SessionMutations, (), 30);
+    tel.add(Metric::SessionRecognizeIncremental, (), 31);
+    tel.add(Metric::SessionRecognizeRebuild, (), 32);
     tel
 }
 
@@ -153,7 +126,10 @@ fn json_and_prometheus_renderings_are_pinned() {
     let stamp = last_unix.to_string();
     assert_same_text(
         &json.to_string(),
-        EXPECTED_JSON.trim_end().replace(LAST_UNIX_MARK, &stamp).as_str(),
+        EXPECTED_JSON
+            .trim_end()
+            .replace(LAST_UNIX_MARK, &stamp)
+            .as_str(),
         "to_json",
     );
 

@@ -3,7 +3,7 @@
 //! engine, and publish pool telemetry through both export formats.
 
 use cograph::{random_cotree, CotreeShape};
-use pcservice::{Answer, EngineConfig, GraphSpec, QueryEngine, QueryKind, QueryRequest};
+use pcservice::{Answer, EngineConfig, GraphSpec, Metric, QueryEngine, QueryKind, QueryRequest};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -53,10 +53,10 @@ fn pool_engine_matches_sequential_engine_and_exports_telemetry() {
 
     // The pool solves were recorded in telemetry...
     let report = pooled.metrics_report();
-    assert_eq!(report.pool_solves, trees.len() as u64);
-    assert_eq!(report.pool.workers, 2);
+    assert_eq!(report.get(Metric::PoolSolves, ()), trees.len() as u64);
+    assert_eq!(report.get(Metric::PoolWorkers, ()), 2);
     assert!(
-        report.pool.rounds > 0,
+        report.get(Metric::PoolRounds, ()) > 0,
         "pool executed no rounds: {report:?}"
     );
 
@@ -70,7 +70,7 @@ fn pool_engine_matches_sequential_engine_and_exports_telemetry() {
     assert!(prom.contains("pc_pool_rounds_total"), "{prom}");
 
     // The sequential engine never touched a pool.
-    assert_eq!(sequential.metrics_report().pool_solves, 0);
+    assert_eq!(sequential.metrics_report().get(Metric::PoolSolves, ()), 0);
 }
 
 #[test]
@@ -80,7 +80,7 @@ fn small_graphs_bypass_the_pool_under_the_default_threshold() {
     let engine = QueryEngine::new(EngineConfig::default());
     cover_of(&engine, &tree);
     assert_eq!(
-        engine.metrics_report().pool_solves,
+        engine.metrics_report().get(Metric::PoolSolves, ()),
         0,
         "a 50-vertex solve must not engage the pool"
     );
