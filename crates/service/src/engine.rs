@@ -554,11 +554,11 @@ impl QueryEngine {
             Ok(_) => Outcome::Ok,
             Err(error) => Outcome::from_error_code(error.code()),
         };
+        let telemetry = &self.telemetry;
         if matches!(response.outcome, Err(ServiceError::DeadlineExceeded)) {
-            self.telemetry.inc(Metric::DeadlineExceeded, ());
+            telemetry.inc(Metric::DeadlineExceeded, ());
         }
         let total = response.meta.total_micros;
-        let telemetry = &self.telemetry;
         telemetry.inc(Metric::Requests, (response.kind, outcome));
         telemetry.observe(Metric::RequestLatency, response.kind, total);
         telemetry.observe(Metric::OutcomeLatency, outcome, total);

@@ -242,7 +242,6 @@ impl SessionRegistry {
             Ok(session) => {
                 if session.last_used.elapsed() >= ttl {
                     telemetry.inc(Metric::SessionsExpired, ());
-                    telemetry.add(Metric::SessionsLive, (), -1);
                     false
                 } else {
                     true
@@ -328,7 +327,6 @@ impl QueryEngine {
             map.insert(state.handle.clone(), Arc::new(Mutex::new(session)));
         }
         self.telemetry().inc(Metric::SessionsCreated, ());
-        self.telemetry().add(Metric::SessionsLive, (), 1);
         Ok(state)
     }
 
@@ -607,7 +605,6 @@ impl QueryEngine {
         match removed {
             Some(_) => {
                 self.telemetry().inc(Metric::SessionsDropped, ());
-                self.telemetry().add(Metric::SessionsLive, (), -1);
                 Ok(())
             }
             None => Err(ServiceError::SessionNotFound(handle.to_string())),

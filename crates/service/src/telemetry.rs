@@ -858,8 +858,8 @@ impl Telemetry {
     }
 
     /// Snapshots the registry and fills in the families derived from it
-    /// (whole-request duration) or owned by the engine (cache counters,
-    /// uptime).
+    /// (whole-request duration, live sessions) or owned by the engine
+    /// (cache counters, uptime).
     pub fn report(
         &self,
         cache: CacheStats,
@@ -878,8 +878,16 @@ impl Telemetry {
         let duration = HistogramSnapshot::merge(
             QueryKind::ALL.map(|kind| report.hist(Metric::RequestLatency, kind)),
         );
+        let ended =
+            report.get(Metric::SessionsDropped, ()) + report.get(Metric::SessionsExpired, ());
         for (metric, value) in [
             (Metric::BuildInfo, 1),
+            (
+                Metric::SessionsLive,
+                report
+                    .get(Metric::SessionsCreated, ())
+                    .saturating_sub(ended),
+            ),
             (Metric::RequestDurationP50, duration.quantile(0.50)),
             (Metric::RequestDurationP90, duration.quantile(0.90)),
             (Metric::RequestDurationP99, duration.quantile(0.99)),

@@ -72,7 +72,6 @@ fn filled_registry() -> Telemetry {
     tel.add(Metric::SessionsCreated, (), 40);
     tel.add(Metric::SessionsDropped, (), 29);
     tel.inc(Metric::SessionsExpired, ());
-    tel.add(Metric::SessionsLive, (), 40 - 29 - 1);
     tel.add(Metric::SessionMutations, (), 30);
     tel.add(Metric::SessionRecognizeIncremental, (), 31);
     tel.add(Metric::SessionRecognizeRebuild, (), 32);
