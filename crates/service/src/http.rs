@@ -835,17 +835,7 @@ pub fn serve_conn_opts<C: crate::daemon::Connection>(
         return;
     };
     let telemetry = engine.telemetry();
-    telemetry.inc(Metric::ConnectionsAccepted, Transport::Http);
-    telemetry.add(Metric::ConnectionsActive, Transport::Http, 1);
-    // Decrement the gauge on *every* exit, injected handler panics
-    // included, so chaos runs cannot leak open-connection counts.
-    struct ConnGauge<'t>(&'t crate::telemetry::Telemetry);
-    impl Drop for ConnGauge<'_> {
-        fn drop(&mut self) {
-            self.0.add(Metric::ConnectionsActive, Transport::Http, -1);
-        }
-    }
-    let _gauge = ConnGauge(telemetry);
+    let _gauge = telemetry.connection_opened(Transport::Http);
     let mut reader = BufReader::new(conn);
     let mut writer = io::BufWriter::new(write_half);
     let mut served: u64 = 0;

@@ -172,7 +172,7 @@ impl std::error::Error for JsonError {}
 /// once per level, so without a cap a body of a few thousand `[` would
 /// overflow a handler thread's stack and abort the whole process; no
 /// message this service speaks nests more than a handful of levels.
-pub const MAX_DEPTH: usize = 128;
+const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
     bytes: &'a [u8],

@@ -116,7 +116,7 @@ pub struct HistogramSnapshot {
 impl HistogramSnapshot {
     /// The bucket-wise union of several snapshots (bounds are shared, so
     /// the merge is exact).
-    pub fn merge<'a>(parts: impl IntoIterator<Item = &'a HistogramSnapshot>) -> Self {
+    fn merge<'a>(parts: impl IntoIterator<Item = &'a HistogramSnapshot>) -> Self {
         let mut merged = HistogramSnapshot {
             buckets: [0; HISTOGRAM_BUCKETS],
             count: 0,
@@ -845,6 +845,14 @@ impl Telemetry {
         }
     }
 
+    /// Books an accepted connection; it counts as active until the
+    /// returned gauge drops.
+    pub fn connection_opened(&self, transport: Transport) -> ConnectionGauge<'_> {
+        self.inc(Metric::ConnectionsAccepted, transport);
+        self.add(Metric::ConnectionsActive, transport, 1);
+        ConnectionGauge(self, transport)
+    }
+
     /// Whether a completed request is eligible for a structured
     /// `slow_request` log line: over the `--slow-ms` threshold, or an
     /// internal failure. Rate limiting is the emitter's job
@@ -901,6 +909,18 @@ impl Telemetry {
         }
         report.hists[slot(Metric::RequestDuration, ())] = duration;
         report
+    }
+}
+
+/// Holds one connection in the active gauge. Dropping it decrements the
+/// gauge on *every* exit of the handler, panics included, so chaos runs
+/// cannot leak open-connection counts.
+#[derive(Debug)]
+pub struct ConnectionGauge<'t>(&'t Telemetry, Transport);
+
+impl Drop for ConnectionGauge<'_> {
+    fn drop(&mut self) {
+        self.0.add(Metric::ConnectionsActive, self.1, -1);
     }
 }
 
