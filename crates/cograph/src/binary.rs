@@ -44,6 +44,11 @@ pub struct BinaryCotree {
 
 impl BinaryCotree {
     /// Binarises a cotree (Step 1 of the paper's algorithm).
+    ///
+    /// Nodes are created in the cotree's post-order — each child subtree in
+    /// turn, then the parent's chain of binary nodes — from an explicit
+    /// order rather than recursion, so an `O(n)`-deep cotree costs heap,
+    /// not call stack.
     pub fn from_cotree(t: &Cotree) -> Self {
         let mut b = BinaryCotree {
             kinds: Vec::new(),
@@ -52,7 +57,11 @@ impl BinaryCotree {
             parent: Vec::new(),
             root: NONE,
         };
-        let root = b.build(t, t.root());
+        let mut built = vec![NONE; t.num_nodes()];
+        for u in t.postorder() {
+            built[u] = b.build(t, u, &built);
+        }
+        let root = built[t.root()];
         b.root = root;
         b.parent[root] = NONE;
         b
@@ -73,7 +82,9 @@ impl BinaryCotree {
         self.parent[right] = parent;
     }
 
-    fn build(&mut self, t: &Cotree, u: usize) -> usize {
+    /// Creates the binary node(s) for cotree node `u`, whose children are
+    /// already built (`built[c]` is child `c`'s top binary node).
+    fn build(&mut self, t: &Cotree, u: usize, built: &[usize]) -> usize {
         match t.kind(u) {
             CotreeKind::Leaf(v) => self.new_node(BinKind::Leaf(v)),
             kind => {
@@ -82,7 +93,7 @@ impl BinaryCotree {
                 } else {
                     BinKind::One
                 };
-                let kids: Vec<usize> = t.children(u).iter().map(|&c| self.build(t, c)).collect();
+                let kids: Vec<usize> = t.children(u).iter().map(|&c| built[c]).collect();
                 assert!(kids.len() >= 2, "cotree internal nodes have >= 2 children");
                 let mut acc = {
                     let node = self.new_node(label);

@@ -126,6 +126,30 @@ impl Cotree {
         tree.compact()
     }
 
+    /// Assembles a cotree from arena parts of untrusted origin.
+    ///
+    /// Node `u` has kind `kinds[u]`, ordered children `children[u]` and
+    /// parent `parent[u]` ([`NO_NODE`] for `root`). The parts are accepted
+    /// only if they pass [`Cotree::validate`], so a builder that produces
+    /// the whole arena in one pass (the service's term parser) gets the same
+    /// guarantees as the combining constructors without their
+    /// copy-on-combine cost.
+    pub fn from_arena(
+        kinds: Vec<CotreeKind>,
+        children: Vec<Vec<usize>>,
+        parent: Vec<usize>,
+        root: usize,
+    ) -> Result<Self, String> {
+        let tree = Cotree {
+            kinds,
+            children,
+            parent,
+            root,
+        };
+        tree.validate()?;
+        Ok(tree)
+    }
+
     /// Assembles a cotree directly from arena parts.
     ///
     /// Crate-internal: the incremental recogniser builds its result in one
@@ -237,20 +261,62 @@ impl Cotree {
         out
     }
 
-    /// Checks the structural invariants of a cotree: every internal node has
-    /// at least two children, labels alternate along root paths, and leaf
-    /// labels are distinct.
+    /// Checks the structural invariants of a cotree: the arena is one tree
+    /// hanging from the root, with every parent link matching a child
+    /// list; every internal node has at least two children; labels
+    /// alternate along root paths; and leaf labels are distinct.
+    ///
+    /// Never panics, whatever the arena holds, and runs in `O(n log n)`.
     pub fn validate(&self) -> Result<(), String> {
-        let mut seen = std::collections::BTreeSet::new();
-        for u in 0..self.num_nodes() {
+        let n = self.kinds.len();
+        if self.children.len() != n || self.parent.len() != n {
+            return Err(format!(
+                "arena arrays differ in length: {n} kinds, {} child lists, {} parents",
+                self.children.len(),
+                self.parent.len()
+            ));
+        }
+        if self.root >= n {
+            return Err(format!("root {} out of range for {n} nodes", self.root));
+        }
+        if self.parent[self.root] != NO_NODE {
+            return Err(format!("root {} has a parent", self.root));
+        }
+        // Every node is reached from the root exactly once, through a child
+        // list whose owner it names as its parent.
+        let mut reached = vec![false; n];
+        reached[self.root] = true;
+        let mut stack = vec![self.root];
+        let mut count = 1usize;
+        while let Some(u) = stack.pop() {
+            for &c in &self.children[u] {
+                if c >= n || reached[c] {
+                    return Err(format!(
+                        "node {u} lists child {c}, which is out of range or already placed"
+                    ));
+                }
+                if self.parent[c] != u {
+                    return Err(format!(
+                        "child {c} of node {u} names parent {}",
+                        self.parent[c]
+                    ));
+                }
+                reached[c] = true;
+                count += 1;
+                stack.push(c);
+            }
+        }
+        if count != n {
+            return Err(format!("{} nodes are unreachable from the root", n - count));
+        }
+        let mut labels = Vec::new();
+        for u in 0..n {
             match self.kinds[u] {
                 CotreeKind::Leaf(v) => {
                     if !self.children[u].is_empty() {
                         return Err(format!("leaf {u} has children"));
                     }
-                    if !seen.insert(v) {
-                        return Err(format!("duplicate vertex label {v}"));
-                    }
+                    labels.push(v);
                 }
                 kind => {
                     if self.children[u].len() < 2 {
@@ -263,7 +329,11 @@ impl Cotree {
                 }
             }
         }
-        Ok(())
+        labels.sort_unstable();
+        match labels.windows(2).find(|w| w[0] == w[1]) {
+            Some(w) => Err(format!("duplicate vertex label {}", w[0])),
+            None => Ok(()),
+        }
     }
 
     /// Materialises the cograph: vertex labels must be exactly `0..n`.
@@ -533,5 +603,55 @@ mod tests {
     #[should_panic(expected = "empty list")]
     fn empty_combination_panics() {
         Cotree::union_of(vec![]);
+    }
+
+    #[test]
+    fn from_arena_accepts_exactly_the_valid_trees() {
+        use CotreeKind::{Join, Leaf, Union};
+        // (u (j 0 1) 2) laid out in post-order.
+        let kinds = vec![Leaf(0), Leaf(1), Join, Leaf(2), Union];
+        let children = vec![vec![], vec![], vec![0, 1], vec![], vec![2, 3]];
+        let parent = vec![2, 2, 4, 4, NO_NODE];
+        let tree = Cotree::from_arena(kinds.clone(), children.clone(), parent.clone(), 4)
+            .expect("valid arena");
+        assert_eq!(tree.to_term(), "(u (j 0 1) 2)");
+        assert_eq!(
+            tree,
+            Cotree::union_of_labelled(vec![
+                Cotree::join_of_labelled(vec![Cotree::single(0), Cotree::single(1)]),
+                Cotree::single(2),
+            ])
+        );
+        let reject = |kinds: Vec<CotreeKind>, children: Vec<Vec<usize>>, parent, root| {
+            Cotree::from_arena(kinds, children, parent, root).unwrap_err()
+        };
+        let with_children = |edit: &dyn Fn(&mut Vec<Vec<usize>>)| {
+            let mut c = children.clone();
+            edit(&mut c);
+            c
+        };
+        let with_parent = |edit: &dyn Fn(&mut Vec<usize>)| {
+            let mut p = parent.clone();
+            edit(&mut p);
+            p
+        };
+        assert!(reject(kinds.clone(), children.clone(), parent.clone(), 5).contains("out of range"));
+        assert!(reject(kinds.clone(), children.clone(), vec![2, 2, 4], 4).contains("length"));
+        assert!(reject(kinds.clone(), children.clone(), parent.clone(), 2).contains("has a parent"));
+        let cyclic = with_children(&|c| c[2] = vec![0, 1, 4]);
+        assert!(reject(kinds.clone(), cyclic, parent.clone(), 4).contains("already placed"));
+        let out_of_range = with_children(&|c| c[4] = vec![2, 9]);
+        assert!(reject(kinds.clone(), out_of_range, parent.clone(), 4).contains("out of range"));
+        let wrong_parent = with_parent(&|p| p[3] = 2);
+        assert!(reject(kinds.clone(), children.clone(), wrong_parent, 4).contains("names parent"));
+        let orphan = with_children(&|c| c[4] = vec![2]);
+        let orphan_parent = with_parent(&|p| p[3] = NO_NODE);
+        assert!(reject(kinds.clone(), orphan, orphan_parent, 4).contains("unreachable"));
+        let mut same_kind = kinds.clone();
+        same_kind[2] = Union;
+        assert!(reject(same_kind, children.clone(), parent.clone(), 4).contains("alternate"));
+        let mut twice = kinds.clone();
+        twice[3] = Leaf(1);
+        assert!(reject(twice, children.clone(), parent.clone(), 4).contains("duplicate"));
     }
 }

@@ -129,39 +129,44 @@ fn node_hashes(tree: &Cotree) -> Vec<u64> {
 /// Exact canonical equality: `true` iff the two cotrees describe the same
 /// labelled graph up to reordering of children.
 ///
-/// Children are paired in sorted-hash order and compared recursively, so a
-/// hash collision among siblings can only produce a false *negative* (the
-/// cache then treats the trees as distinct — lost sharing, never a wrong
-/// answer); a `true` result is an exact structural match of the pairing.
+/// Children are paired in sorted-hash order and compared pair by pair from
+/// an explicit stack — no recursion, so a cotree `O(n)` levels deep costs
+/// heap, not call stack. A hash collision among siblings can only produce a
+/// false *negative* (the cache then treats the trees as distinct — lost
+/// sharing, never a wrong answer); a `true` result is an exact structural
+/// match of the pairing.
 pub fn canonical_eq(a: &Cotree, b: &Cotree) -> bool {
     if a.num_nodes() != b.num_nodes() {
         return false;
     }
     let ha = node_hashes(a);
     let hb = node_hashes(b);
-    canonical_eq_at(a, a.root(), &ha, b, b.root(), &hb)
+    let mut pending = vec![(a.root(), b.root())];
+    while let Some((u, v)) = pending.pop() {
+        match (a.kind(u), b.kind(v)) {
+            (CotreeKind::Leaf(x), CotreeKind::Leaf(y)) => {
+                if x != y {
+                    return false;
+                }
+            }
+            (ka, kb) if ka == kb => {
+                let ca = sorted_children(a, u, &ha);
+                let cb = sorted_children(b, v, &hb);
+                if ca.len() != cb.len() {
+                    return false;
+                }
+                pending.extend(ca.into_iter().zip(cb));
+            }
+            _ => return false,
+        }
+    }
+    true
 }
 
 fn sorted_children(tree: &Cotree, u: usize, hashes: &[u64]) -> Vec<usize> {
     let mut kids: Vec<usize> = tree.children(u).to_vec();
     kids.sort_unstable_by_key(|&c| hashes[c]);
     kids
-}
-
-fn canonical_eq_at(a: &Cotree, u: usize, ha: &[u64], b: &Cotree, v: usize, hb: &[u64]) -> bool {
-    match (a.kind(u), b.kind(v)) {
-        (CotreeKind::Leaf(x), CotreeKind::Leaf(y)) => x == y,
-        (ka, kb) if ka == kb => {
-            let ca = sorted_children(a, u, ha);
-            let cb = sorted_children(b, v, hb);
-            ca.len() == cb.len()
-                && ca
-                    .into_iter()
-                    .zip(cb)
-                    .all(|(cu, cv)| canonical_eq_at(a, cu, ha, b, cv, hb))
-        }
-        _ => false,
-    }
 }
 
 /// A cached cotree plus memoised scalar answers.
@@ -499,44 +504,41 @@ impl CotreeCache {
     /// Looks up a previously-recognised graph by fingerprint, confirming
     /// the stored graph is *equal* to `graph` (a fingerprint collision is a
     /// miss, never a wrong answer). A hit touches the link's LRU position.
+    ///
+    /// The comparison runs on cloned `Arc`s after the shard lock is
+    /// released, so a slow compare of a large graph never blocks the
+    /// shard's other traffic.
     pub fn lookup_graph(&self, fingerprint: u64, graph: &Graph) -> Option<Arc<SolveEntry>> {
-        let mut shard = self.shard(fingerprint);
-        let entry = shard
+        let candidate = self
+            .shard(fingerprint)
             .by_graph
             .get_touch(fingerprint)
+            .map(|(stored, entry)| (stored.clone(), entry.clone()));
+        let entry = candidate
             .filter(|(stored, _)| **stored == *graph)
-            .map(|(_, entry)| entry.clone());
-        match entry {
-            Some(e) => {
-                shard.hits += 1;
-                Some(e)
-            }
-            None => {
-                shard.misses += 1;
-                None
-            }
-        }
+            .map(|(_, entry)| entry);
+        self.book(fingerprint, entry.is_some());
+        entry
     }
 
     /// Looks up a cotree by its canonical key (cotree ingestion path),
     /// confirming the stored cotree is canonically equal. A hit touches the
-    /// entry's LRU position.
+    /// entry's LRU position. As in [`Self::lookup_graph`], the comparison
+    /// runs outside the shard lock.
     pub fn lookup_key(&self, key: u64, cotree: &Cotree) -> Option<Arc<SolveEntry>> {
-        let mut shard = self.shard(key);
-        let entry = shard
-            .entries
-            .get_touch(key)
-            .filter(|e| canonical_eq(&e.cotree, cotree))
-            .cloned();
-        match entry {
-            Some(e) => {
-                shard.hits += 1;
-                Some(e)
-            }
-            None => {
-                shard.misses += 1;
-                None
-            }
+        let candidate = self.shard(key).entries.get_touch(key).cloned();
+        let entry = candidate.filter(|e| canonical_eq(&e.cotree, cotree));
+        self.book(key, entry.is_some());
+        entry
+    }
+
+    /// Counts a lookup's outcome in the shard `hash` selects.
+    fn book(&self, hash: u64, hit: bool) {
+        let mut shard = self.shard(hash);
+        if hit {
+            shard.hits += 1;
+        } else {
+            shard.misses += 1;
         }
     }
 
@@ -693,7 +695,7 @@ impl CotreeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ingest::parse_cotree_term;
+    use crate::ingest::{parse_cotree_term, parse_cotree_term_labelled};
 
     fn labelled_pair(reversed: bool) -> Cotree {
         // union(0, join(1, 2)) with the union's children in both orders;
@@ -769,6 +771,29 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.shards, DEFAULT_SHARDS);
+    }
+
+    #[test]
+    fn canonical_eq_is_iterative_on_deep_cotrees() {
+        // 20 000 alternating levels, labelled, so changing the bottom leaf
+        // makes a different labelled graph. A per-level recursion overflows
+        // the test thread's stack long before the bottom.
+        let depth = 20_000u32;
+        let term = |bottom: u32| {
+            let mut term = String::new();
+            for i in 0..depth {
+                term.push_str(if i % 2 == 0 { "(u " } else { "(j " });
+                term.push_str(&format!("{i} "));
+            }
+            term.push_str(&format!("(u {depth} {bottom})"));
+            term.push_str(&")".repeat(depth as usize));
+            term
+        };
+        let tree = parse_cotree_term_labelled(&term(depth + 1)).unwrap();
+        assert_eq!(tree.height(), depth as usize + 1);
+        assert!(canonical_eq(&tree, &tree.clone()));
+        let other = parse_cotree_term_labelled(&term(depth + 2)).unwrap();
+        assert!(!canonical_eq(&tree, &other));
     }
 
     #[test]

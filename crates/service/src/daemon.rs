@@ -1150,6 +1150,111 @@ mod tests {
         handle.join().expect("daemon thread").expect("clean exit");
     }
 
+    /// `(u a0 (j a1 (u a2 … (u z0 z1))))`: `depth` alternating levels that
+    /// normalisation cannot flatten, and its minimum path-cover size.
+    fn alternating_term(depth: usize) -> (String, u64) {
+        let mut term = String::new();
+        for i in 0..depth {
+            term.push_str(if i % 2 == 0 { "(u a" } else { "(j a" });
+            term.push_str(&format!("{i} "));
+        }
+        term.push_str(if depth % 2 == 0 {
+            "(u z0 z1)"
+        } else {
+            "(j z0 z1)"
+        });
+        term.push_str(&")".repeat(depth));
+        // Bottom up: a union with one more vertex adds a path; a join with
+        // one more vertex links two paths through it.
+        let mut size = if depth % 2 == 0 { 2 } else { 1 };
+        for i in (0..depth).rev() {
+            size = if i % 2 == 0 {
+                size + 1
+            } else {
+                (size - 1).max(1)
+            };
+        }
+        (term, size)
+    }
+
+    /// `(u (u … (u a b0) b1 …) b{depth-1})`: `depth` nested unions that
+    /// normalisation flattens into one union of `depth + 1` leaves.
+    fn nested_union_term(depth: usize) -> (String, u64) {
+        let mut term = "(u ".repeat(depth);
+        term.push('a');
+        for i in 0..depth {
+            term.push_str(&format!(" b{i})"));
+        }
+        (term, depth as u64 + 1)
+    }
+
+    /// The deep-term regressions on one live transport: the alternating
+    /// term answers correctly as a miss and then as a hit (the cache's
+    /// equality check walks every level), each well under a second; the
+    /// flattened union answers; and the daemon still serves afterwards.
+    fn deep_terms_are_served(solve: &mut dyn FnMut(&QueryRequest) -> Json) {
+        let min_cover =
+            |term: String| QueryRequest::new(QueryKind::MinCoverSize, GraphSpec::CotreeTerm(term));
+        let size = |response: &Json| {
+            response
+                .get("answer")
+                .and_then(|a| a.get("size"))
+                .and_then(Json::as_u64)
+        };
+        let cache = |response: &Json| {
+            response
+                .get("meta")
+                .and_then(|m| m.get("cache"))
+                .and_then(Json::as_str)
+                .map(str::to_string)
+        };
+        let (term, expected) = alternating_term(20_000);
+        let small = alternating_term(12);
+        let reference = crate::ingest::parse_cotree_term(&small.0).unwrap();
+        assert_eq!(
+            pathcover::min_path_cover_size(&reference) as u64,
+            small.1,
+            "the closed-form answer matches the solver on a small instance"
+        );
+        for disposition in ["miss", "hit"] {
+            let started = std::time::Instant::now();
+            let response = solve(&min_cover(term.clone()));
+            let elapsed = started.elapsed();
+            assert_eq!(size(&response), Some(expected), "{response}");
+            assert_eq!(cache(&response).as_deref(), Some(disposition));
+            assert!(
+                elapsed < Duration::from_secs(1),
+                "{disposition} took {elapsed:?}"
+            );
+        }
+        let (term, expected) = nested_union_term(200_000);
+        assert_eq!(size(&solve(&min_cover(term))), Some(expected));
+        let follow_up = solve(&min_cover("(j a b c)".to_string()));
+        assert_eq!(size(&follow_up), Some(1), "{follow_up}");
+    }
+
+    #[test]
+    fn deep_cotree_terms_are_answered_over_the_framed_socket() {
+        let (path, handle) = spawn_daemon("deep-terms");
+        let mut client = connect(&path).expect("connect");
+        deep_terms_are_served(&mut |request| client.solve(request).expect("framed solve"));
+        client.shutdown().expect("shutdown");
+        handle.join().expect("daemon thread").expect("clean exit");
+    }
+
+    #[test]
+    fn deep_cotree_terms_are_answered_over_http() {
+        let mut config = DaemonConfig::http("127.0.0.1:0");
+        config.idle_timeout = Duration::from_secs(5);
+        let daemon = Daemon::bind(config).expect("bind http");
+        let addr = daemon.http_addr().expect("http bound").to_string();
+        let handle = std::thread::spawn(move || daemon.run());
+        let mut client = http::Client::connect(&addr).expect("http connect");
+        deep_terms_are_served(&mut |request| client.solve(request).expect("http solve"));
+        client.shutdown().expect("shutdown");
+        handle.join().expect("daemon thread").expect("clean exit");
+    }
+
     #[test]
     fn shutdown_on_one_transport_stops_the_other() {
         // Dual-transport daemon: unix + ephemeral-port HTTP.

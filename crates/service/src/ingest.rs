@@ -23,7 +23,8 @@
 //! carrying an induced-`P_4` certificate. Cotree terms skip recognition
 //! entirely — the term *is* the cotree.
 
-use cograph::Cotree;
+use cograph::cotree::NO_NODE;
+use cograph::{Cotree, CotreeKind};
 use pcgraph::{Graph, GraphError, VertexId};
 use std::collections::HashSet;
 use std::fmt;
@@ -168,186 +169,346 @@ pub fn parse(text: &str, format: GraphFormat) -> Result<Ingested, IngestError> {
     }
 }
 
+/// A byte cursor over line-oriented text (edge lists and DIMACS).
+///
+/// Lines end at `\n` only, and tokens are maximal runs of characters
+/// outside Unicode `White_Space` — the splitting `str::lines` and
+/// `str::split_whitespace` do, in one pass with no per-line allocation.
+/// ASCII bytes are classified inline; a non-ASCII character is decoded
+/// only where one occurs. An optional comment byte (`#` for edge lists)
+/// ends a line's content early.
+struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
+    line: usize,
+    /// The comment byte, or `\n` for none (a line end stops tokens anyway).
+    comment: u8,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(text: &'a str, comment: Option<u8>) -> Self {
+        Cursor {
+            text,
+            pos: 0,
+            line: 0,
+            comment: comment.unwrap_or(b'\n'),
+        }
+    }
+
+    /// Moves past whatever is left of the current line and returns the
+    /// 1-based number of the next one, or `None` at the end of the text.
+    fn next_line(&mut self) -> Option<usize> {
+        let bytes = self.text.as_bytes();
+        if self.line > 0 {
+            self.pos = match bytes[self.pos..].iter().position(|&b| b == b'\n') {
+                Some(offset) => self.pos + offset + 1,
+                None => bytes.len(),
+            };
+        }
+        if self.pos >= bytes.len() {
+            return None;
+        }
+        self.line += 1;
+        Some(self.line)
+    }
+
+    /// Byte length of the non-ASCII character at `pos`, and whether it is
+    /// a separator.
+    #[cold]
+    fn wide_char(&self, pos: usize) -> (usize, bool) {
+        let c = self.text[pos..]
+            .chars()
+            .next()
+            .expect("a character starts here");
+        (c.len_utf8(), c.is_whitespace())
+    }
+
+    /// The next token on the current line, if any.
+    fn token(&mut self) -> Option<&'a str> {
+        let bytes = self.text.as_bytes();
+        let mut pos = self.pos;
+        while let Some(&b) = bytes.get(pos) {
+            if matches!(b, b'\t' | 0x0b | 0x0c | b'\r' | b' ') {
+                pos += 1;
+            } else if b < 0x80 {
+                break;
+            } else {
+                match self.wide_char(pos) {
+                    (len, true) => pos += len,
+                    (_, false) => break,
+                }
+            }
+        }
+        let start = pos;
+        while let Some(&b) = bytes.get(pos) {
+            if b > b' ' && b < 0x80 {
+                if b == self.comment {
+                    break;
+                }
+                pos += 1;
+            } else if b < 0x80 {
+                // `\t` ..= `\r` are the ASCII separators plus `\n`; other
+                // control bytes belong to the token.
+                if matches!(b, b'\t'..=b'\r' | b' ') {
+                    break;
+                }
+                pos += 1;
+            } else {
+                match self.wide_char(pos) {
+                    (len, false) => pos += len,
+                    (_, true) => break,
+                }
+            }
+        }
+        self.pos = pos;
+        (pos > start).then(|| &self.text[start..pos])
+    }
+
+    /// The current line's content from byte `start` on, trimmed.
+    fn rest_of_line(&self, start: usize) -> &'a str {
+        let rest = &self.text[start..];
+        rest[..rest.find('\n').unwrap_or(rest.len())].trim()
+    }
+}
+
+/// A decimal `u64` as `str::parse` reads it: an optional `+`, then one or
+/// more ASCII digits (leading zeros allowed), rejected on overflow.
+fn parse_decimal(token: &str) -> Option<u64> {
+    let digits = token.strip_prefix('+').unwrap_or(token).as_bytes();
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |acc, &b| {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        acc.checked_mul(10)?.checked_add(u64::from(digit))
+    })
+}
+
 fn parse_vertex(token: &str, line: usize) -> Result<VertexId, IngestError> {
-    token
-        .parse::<VertexId>()
-        .map_err(|_| IngestError::BadToken {
+    parse_decimal(token)
+        .and_then(|id| VertexId::try_from(id).ok())
+        .ok_or_else(|| IngestError::BadToken {
             line,
             token: token.to_string(),
         })
 }
 
+/// Line number of the `k`-th (0-based) line `is_edge` accepts. Graph
+/// errors come back from [`Graph::from_edges_indexed`] as an edge index;
+/// re-reading the text on that error path keeps the hot loop free of
+/// per-edge line numbers.
+fn line_of_edge(
+    text: &str,
+    comment: Option<u8>,
+    k: usize,
+    is_edge: fn(&mut Cursor) -> bool,
+) -> usize {
+    let mut cursor = Cursor::new(text, comment);
+    let mut seen = 0;
+    while let Some(line) = cursor.next_line() {
+        if is_edge(&mut cursor) {
+            if seen == k {
+                return line;
+            }
+            seen += 1;
+        }
+    }
+    unreachable!("edge {k} was read from some line")
+}
+
 /// Parses the edge-list format (see module docs).
 pub fn parse_edge_list(text: &str) -> Result<Graph, IngestError> {
-    let mut edges: Vec<(VertexId, VertexId, usize)> = Vec::new();
+    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
     let mut max_vertex: Option<VertexId> = None;
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
+    let mut cursor = Cursor::new(text, Some(b'#'));
+    while let Some(line) = cursor.next_line() {
+        let Some(first) = cursor.token() else {
             continue;
+        };
+        let second = cursor.token();
+        if second.is_some() && cursor.token().is_some() {
+            let mut count = 3;
+            while cursor.token().is_some() {
+                count += 1;
+            }
+            return Err(IngestError::BadLine {
+                line,
+                message: format!("expected 'u v' or a single vertex id, got {count} tokens"),
+            });
         }
-        let tokens: Vec<&str> = line.split_whitespace().collect();
-        match tokens.as_slice() {
-            [single] => {
-                let v = parse_vertex(single, line_no)?;
-                max_vertex = Some(max_vertex.map_or(v, |m| m.max(v)));
-            }
-            [a, b] => {
-                let u = parse_vertex(a, line_no)?;
-                let v = parse_vertex(b, line_no)?;
-                max_vertex = Some(max_vertex.map_or(u.max(v), |m| m.max(u).max(v)));
-                edges.push((u, v, line_no));
-            }
-            _ => {
-                return Err(IngestError::BadLine {
-                    line: line_no,
-                    message: format!(
-                        "expected 'u v' or a single vertex id, got {} tokens",
-                        tokens.len()
-                    ),
-                })
-            }
+        let u = parse_vertex(first, line)?;
+        let mut max = u;
+        if let Some(second) = second {
+            let v = parse_vertex(second, line)?;
+            max = max.max(v);
+            edges.push((u, v));
         }
+        max_vertex = Some(max_vertex.map_or(max, |m| m.max(max)));
     }
     let Some(max_vertex) = max_vertex else {
         return Err(IngestError::Empty);
     };
-    let mut g = Graph::new(max_vertex as usize + 1);
-    for (u, v, line) in edges {
-        g.add_edge(u, v)
-            .map_err(|source| IngestError::Graph { line, source })?;
-    }
-    g.finalize();
-    Ok(g)
+    Graph::from_edges_indexed(max_vertex as usize + 1, &edges).map_err(|(k, source)| {
+        // Every line is well formed by now, so edge lines are the
+        // two-token ones.
+        let line = line_of_edge(text, Some(b'#'), k, |c| {
+            c.token().is_some() && c.token().is_some()
+        });
+        IngestError::Graph { line, source }
+    })
 }
 
 /// Parses the DIMACS `p edge` format (see module docs).
 pub fn parse_dimacs(text: &str) -> Result<Graph, IngestError> {
-    let mut graph: Option<Graph> = None;
-    let mut declared_edges = 0usize;
-    let mut seen_edges = 0usize;
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('c') {
+    let mut header: Option<(usize, usize)> = None;
+    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
+    let scanned = scan_dimacs(text, &mut header, &mut edges);
+    // DIMACS reports in line order: an edge the graph rejects precedes the
+    // syntax error (if any) that stopped the scan.
+    let graph = match header {
+        Some((n, _)) => Some(Graph::from_edges_indexed(n, &edges).map_err(|(k, source)| {
+            let line = line_of_edge(text, None, k, |c| c.token() == Some("e"));
+            IngestError::Graph { line, source }
+        })?),
+        None => None,
+    };
+    scanned?;
+    let (Some(g), Some((_, declared_edges))) = (graph, header) else {
+        return Err(IngestError::Empty);
+    };
+    if g.num_vertices() == 0 {
+        return Err(IngestError::Empty);
+    }
+    if declared_edges != edges.len() {
+        return Err(IngestError::BadHeader {
+            line: 0,
+            message: format!(
+                "header declared {declared_edges} edges, found {}",
+                edges.len()
+            ),
+        });
+    }
+    Ok(g)
+}
+
+/// Reads DIMACS lines into `header` (`n`, declared `m`) and 0-based
+/// `edges` up to the first syntax error, which it returns.
+fn scan_dimacs(
+    text: &str,
+    header: &mut Option<(usize, usize)>,
+    edges: &mut Vec<(VertexId, VertexId)>,
+) -> Result<(), IngestError> {
+    let mut cursor = Cursor::new(text, None);
+    while let Some(line) = cursor.next_line() {
+        let start = cursor.pos;
+        let Some(first) = cursor.token() else {
             continue;
-        }
-        let tokens: Vec<&str> = line.split_whitespace().collect();
-        match tokens.first().copied() {
-            Some("p") => {
-                if graph.is_some() {
+        };
+        match first {
+            _ if first.starts_with('c') => {}
+            "p" => {
+                if header.is_some() {
                     return Err(IngestError::BadHeader {
-                        line: line_no,
+                        line,
                         message: "second 'p' line".to_string(),
                     });
                 }
-                let [_, format, n, m] = tokens.as_slice() else {
+                let (Some(format), Some(n), Some(m), None) = (
+                    cursor.token(),
+                    cursor.token(),
+                    cursor.token(),
+                    cursor.token(),
+                ) else {
                     return Err(IngestError::BadHeader {
-                        line: line_no,
+                        line,
                         message: "expected 'p edge <n> <m>'".to_string(),
                     });
                 };
-                if *format != "edge" && *format != "col" {
+                if format != "edge" && format != "col" {
                     return Err(IngestError::BadHeader {
-                        line: line_no,
+                        line,
                         message: format!("unsupported format '{format}'"),
                     });
                 }
-                let n: usize = n.parse().map_err(|_| IngestError::BadHeader {
-                    line: line_no,
-                    message: format!("'{n}' is not a vertex count"),
-                })?;
-                declared_edges = m.parse().map_err(|_| IngestError::BadHeader {
-                    line: line_no,
-                    message: format!("'{m}' is not an edge count"),
-                })?;
-                graph = Some(Graph::new(n));
+                let count = |token: &str, what: &str| {
+                    parse_decimal(token)
+                        .and_then(|value| usize::try_from(value).ok())
+                        .ok_or_else(|| IngestError::BadHeader {
+                            line,
+                            message: format!("'{token}' is not {what}"),
+                        })
+                };
+                *header = Some((count(n, "a vertex count")?, count(m, "an edge count")?));
             }
-            Some("e") => {
-                let g = graph.as_mut().ok_or(IngestError::BadHeader {
-                    line: line_no,
-                    message: "'e' line before 'p' header".to_string(),
-                })?;
-                let [_, a, b] = tokens.as_slice() else {
+            "e" => {
+                if header.is_none() {
+                    return Err(IngestError::BadHeader {
+                        line,
+                        message: "'e' line before 'p' header".to_string(),
+                    });
+                }
+                let (Some(a), Some(b), None) = (cursor.token(), cursor.token(), cursor.token())
+                else {
                     return Err(IngestError::BadLine {
-                        line: line_no,
+                        line,
                         message: "expected 'e <u> <v>'".to_string(),
                     });
                 };
-                let u = parse_vertex(a, line_no)?;
-                let v = parse_vertex(b, line_no)?;
+                let u = parse_vertex(a, line)?;
+                let v = parse_vertex(b, line)?;
                 if u == 0 || v == 0 {
                     return Err(IngestError::BadToken {
-                        line: line_no,
+                        line,
                         token: "0 (DIMACS ids are 1-based)".to_string(),
                     });
                 }
-                g.add_edge(u - 1, v - 1)
-                    .map_err(|source| IngestError::Graph {
-                        line: line_no,
-                        source,
-                    })?;
-                seen_edges += 1;
+                edges.push((u - 1, v - 1));
             }
             _ => {
                 return Err(IngestError::BadLine {
-                    line: line_no,
-                    message: format!("unknown DIMACS line '{line}'"),
+                    line,
+                    message: format!("unknown DIMACS line '{}'", cursor.rest_of_line(start)),
                 })
             }
         }
     }
-    let mut g = graph.ok_or(IngestError::Empty)?;
-    if g.num_vertices() == 0 {
-        return Err(IngestError::Empty);
-    }
-    if declared_edges != seen_edges {
-        return Err(IngestError::BadHeader {
-            line: 0,
-            message: format!("header declared {declared_edges} edges, found {seen_edges}"),
-        });
-    }
-    g.finalize();
-    Ok(g)
+    Ok(())
 }
 
 /// How a term's leaf tokens map onto vertex ids.
-enum LeafMode {
+enum LeafMode<'a> {
     /// Leaf names are arbitrary identifiers assigned dense ids in order of
     /// first appearance (the public ingestion format).
-    Appearance(HashSet<String>),
+    Appearance(HashSet<&'a str>),
     /// Leaf names *are* numeric vertex labels, used verbatim — the inverse
     /// of [`cograph::Cotree::to_term`], used by the snapshot loader where
     /// the exact labelling must survive the round trip.
     Labelled(HashSet<VertexId>),
 }
 
-impl LeafMode {
-    fn resolve(&mut self, name: &str, pos: usize) -> Result<VertexId, IngestError> {
-        match self {
+impl<'a> LeafMode<'a> {
+    fn resolve(&mut self, name: &'a str, pos: usize) -> Result<VertexId, IngestError> {
+        let fresh = match self {
             LeafMode::Appearance(names) => {
                 let id = names.len() as VertexId;
-                if !names.insert(name.to_string()) {
-                    return Err(IngestError::DuplicateLeaf {
-                        name: name.to_string(),
-                    });
-                }
-                Ok(id)
+                names.insert(name).then_some(id)
             }
             LeafMode::Labelled(seen) => {
-                let id: VertexId = name.parse().map_err(|_| IngestError::BadTerm {
-                    pos,
-                    message: format!("leaf '{name}' is not a numeric vertex label"),
-                })?;
-                if !seen.insert(id) {
-                    return Err(IngestError::DuplicateLeaf {
-                        name: name.to_string(),
-                    });
-                }
-                Ok(id)
+                let id = parse_decimal(name)
+                    .and_then(|id| VertexId::try_from(id).ok())
+                    .ok_or_else(|| IngestError::BadTerm {
+                        pos,
+                        message: format!("leaf '{name}' is not a numeric vertex label"),
+                    })?;
+                seen.insert(id).then_some(id)
             }
-        }
+        };
+        fresh.ok_or_else(|| IngestError::DuplicateLeaf {
+            name: name.to_string(),
+        })
     }
 }
 
@@ -368,18 +529,88 @@ pub fn parse_cotree_term_labelled(text: &str) -> Result<Cotree, IngestError> {
     parse_cotree_with(text, LeafMode::Labelled(HashSet::new()))
 }
 
-fn parse_cotree_with(text: &str, mut mode: LeafMode) -> Result<Cotree, IngestError> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let tree = parse_term(bytes, &mut pos, &mut mode)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(IngestError::BadTerm {
-            pos,
-            message: "trailing characters after term".to_string(),
-        });
+const NIL: usize = usize::MAX;
+
+/// The term parser's node arena, in post-order of the term. Child lists
+/// are singly linked (`first`/`last`/`next`), so absorbing a same-kind
+/// child into its parent splices its list in `O(1)`.
+#[derive(Default)]
+struct TermArena {
+    kinds: Vec<CotreeKind>,
+    first: Vec<usize>,
+    last: Vec<usize>,
+    next: Vec<usize>,
+    absorbed: Vec<bool>,
+}
+
+/// An internal node whose `)` has not been read yet.
+struct OpenNode {
+    kind: CotreeKind,
+    open_pos: usize,
+    /// Subterms read so far (absorbed ones count once).
+    parts: usize,
+    first: usize,
+    last: usize,
+}
+
+impl TermArena {
+    fn push(&mut self, kind: CotreeKind, first: usize, last: usize) -> usize {
+        self.kinds.push(kind);
+        self.first.push(first);
+        self.last.push(last);
+        self.next.push(NIL);
+        self.absorbed.push(false);
+        self.kinds.len() - 1
     }
-    Ok(tree)
+
+    /// Appends `node` to `parent`'s children. A child of the parent's kind
+    /// hands over its own children instead — the normalisation that keeps
+    /// kinds alternating along every root path, as `Cotree::union_of` does.
+    fn attach(&mut self, parent: &mut OpenNode, node: usize) {
+        parent.parts += 1;
+        let (first, last) = if self.kinds[node] == parent.kind {
+            self.absorbed[node] = true;
+            (self.first[node], self.last[node])
+        } else {
+            (node, node)
+        };
+        match parent.last {
+            NIL => parent.first = first,
+            tail => self.next[tail] = first,
+        }
+        parent.last = last;
+    }
+
+    /// Drops the absorbed nodes and builds the cotree, rooted at the last
+    /// node read.
+    fn into_cotree(self) -> Result<Cotree, String> {
+        let mut remap = vec![NIL; self.kinds.len()];
+        let mut live = 0;
+        for (slot, &absorbed) in remap.iter_mut().zip(&self.absorbed) {
+            if !absorbed {
+                *slot = live;
+                live += 1;
+            }
+        }
+        let mut kinds = Vec::with_capacity(live);
+        let mut children = Vec::with_capacity(live);
+        let mut parent = vec![NO_NODE; live];
+        for (u, &kind) in self.kinds.iter().enumerate() {
+            if self.absorbed[u] {
+                continue;
+            }
+            let mut kids = Vec::new();
+            let mut c = self.first[u];
+            while c != NIL {
+                kids.push(remap[c]);
+                parent[remap[c]] = kinds.len();
+                c = self.next[c];
+            }
+            kinds.push(kind);
+            children.push(kids);
+        }
+        Cotree::from_arena(kinds, children, parent, live - 1)
+    }
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -388,67 +619,91 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_term(bytes: &[u8], pos: &mut usize, mode: &mut LeafMode) -> Result<Cotree, IngestError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(IngestError::Empty),
-        Some(b'(') => {
-            let open_pos = *pos;
-            *pos += 1;
-            skip_ws(bytes, pos);
-            let op = match bytes.get(*pos) {
-                Some(b'u') | Some(b'0') => false,
-                Some(b'j') | Some(b'1') => true,
-                _ => {
-                    return Err(IngestError::BadTerm {
-                        pos: *pos,
-                        message: "expected operator 'u'/'0' (union) or 'j'/'1' (join)".to_string(),
-                    })
-                }
-            };
-            *pos += 1;
-            let mut parts = Vec::new();
-            loop {
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    None => return Err(IngestError::UnbalancedTerm { pos: open_pos }),
-                    Some(b')') => {
-                        *pos += 1;
-                        break;
+/// One left-to-right pass with an explicit stack of open nodes: no
+/// recursion, so nesting depth costs heap, not call stack, and each byte is
+/// read once.
+fn parse_cotree_with<'a>(text: &'a str, mut mode: LeafMode<'a>) -> Result<Cotree, IngestError> {
+    let bytes = text.as_bytes();
+    let mut pos = 0usize;
+    let mut arena = TermArena::default();
+    let mut open: Vec<OpenNode> = Vec::new();
+    loop {
+        skip_ws(bytes, &mut pos);
+        let node = match bytes.get(pos) {
+            None => {
+                return Err(match open.last() {
+                    Some(node) => IngestError::UnbalancedTerm { pos: node.open_pos },
+                    None => IngestError::Empty,
+                })
+            }
+            Some(b'(') => {
+                let open_pos = pos;
+                pos += 1;
+                skip_ws(bytes, &mut pos);
+                let kind = match bytes.get(pos) {
+                    Some(b'u') | Some(b'0') => CotreeKind::Union,
+                    Some(b'j') | Some(b'1') => CotreeKind::Join,
+                    _ => {
+                        return Err(IngestError::BadTerm {
+                            pos,
+                            message: "expected operator 'u'/'0' (union) or 'j'/'1' (join)"
+                                .to_string(),
+                        })
                     }
-                    _ => parts.push(parse_term(bytes, pos, mode)?),
-                }
-            }
-            if parts.len() < 2 {
-                return Err(IngestError::BadTerm {
-                    pos: open_pos,
-                    message: format!(
-                        "internal node needs at least two children, found {}",
-                        parts.len()
-                    ),
+                };
+                pos += 1;
+                open.push(OpenNode {
+                    kind,
+                    open_pos,
+                    parts: 0,
+                    first: NIL,
+                    last: NIL,
                 });
+                continue;
             }
-            Ok(if op {
-                Cotree::join_of_labelled(parts)
-            } else {
-                Cotree::union_of_labelled(parts)
-            })
-        }
-        Some(b')') => Err(IngestError::UnbalancedTerm { pos: *pos }),
-        Some(_) => {
-            let start = *pos;
-            while matches!(bytes.get(*pos), Some(c) if !matches!(c, b'(' | b')' | b' ' | b'\t' | b'\n' | b'\r'))
-            {
-                *pos += 1;
+            Some(b')') => {
+                let Some(node) = open.pop() else {
+                    return Err(IngestError::UnbalancedTerm { pos });
+                };
+                pos += 1;
+                if node.parts < 2 {
+                    return Err(IngestError::BadTerm {
+                        pos: node.open_pos,
+                        message: format!(
+                            "internal node needs at least two children, found {}",
+                            node.parts
+                        ),
+                    });
+                }
+                arena.push(node.kind, node.first, node.last)
             }
-            let name =
-                std::str::from_utf8(&bytes[start..*pos]).map_err(|_| IngestError::BadTerm {
-                    pos: start,
-                    message: "leaf name is not UTF-8".to_string(),
-                })?;
-            Ok(Cotree::single(mode.resolve(name, start)?))
+            Some(_) => {
+                let start = pos;
+                while matches!(bytes.get(pos), Some(c) if !matches!(c, b'(' | b')' | b' ' | b'\t' | b'\n' | b'\r'))
+                {
+                    pos += 1;
+                }
+                // Delimiters are ASCII, so the name ends on a char boundary.
+                let id = mode.resolve(&text[start..pos], start)?;
+                arena.push(CotreeKind::Leaf(id), NIL, NIL)
+            }
+        };
+        match open.last_mut() {
+            Some(parent) => arena.attach(parent, node),
+            None => break,
         }
     }
+    skip_ws(bytes, &mut pos);
+    if pos != bytes.len() {
+        return Err(IngestError::BadTerm {
+            pos,
+            message: "trailing characters after term".to_string(),
+        });
+    }
+    arena.into_cotree().map_err(|message| IngestError::BadTerm {
+        pos: 0,
+        message: format!("term describes no valid cotree: {message}"),
+    })
 }
 
 /// Renders a cotree back into term notation with numeric leaf names; the
@@ -457,6 +712,11 @@ fn parse_term(bytes: &[u8], pos: &mut usize, mode: &mut LeafMode) -> Result<Cotr
 pub fn cotree_to_term(tree: &Cotree) -> String {
     tree.to_term()
 }
+
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
