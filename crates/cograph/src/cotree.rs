@@ -336,51 +336,76 @@ impl Cotree {
         }
     }
 
+    /// Number of edges of the cograph, counted on the cotree in
+    /// `O(nodes)`: a 1-node joins every pair of its children, so it
+    /// contributes the sum of the pairwise products of their leaf counts.
+    pub fn num_edges(&self) -> usize {
+        let mut leaves = vec![0usize; self.num_nodes()];
+        let mut edges = 0usize;
+        for u in self.postorder() {
+            leaves[u] = match self.kinds[u] {
+                CotreeKind::Leaf(_) => 1,
+                kind => {
+                    let mut seen = 0usize;
+                    for &c in &self.children[u] {
+                        if kind == CotreeKind::Join {
+                            edges += seen * leaves[c];
+                        }
+                        seen += leaves[c];
+                    }
+                    seen
+                }
+            };
+        }
+        edges
+    }
+
     /// Materialises the cograph: vertex labels must be exactly `0..n`.
     ///
     /// Two vertices are adjacent iff their lowest common ancestor in the
-    /// cotree is a 1-node; equivalently the graph is built bottom-up by
-    /// unioning at 0-nodes and joining at 1-nodes, which is what this method
-    /// does.
+    /// cotree is a 1-node, so the edges are the cross pairs between the
+    /// children of every 1-node. Each subtree's leaves are one contiguous
+    /// run of the depth-first leaf order, so the pairs are read off those
+    /// runs without copying vertex sets, and the graph is built in bulk by
+    /// [`Graph::from_edges`] in `O(nodes + m)`.
     pub fn to_graph(&self) -> Graph {
         let n = self.num_vertices();
-        let mut g = Graph::new(n);
-        // Iterative post-order: collect the vertex set of every subtree and
-        // add the cross edges at 1-nodes.
-        let order = self.postorder();
-        let mut vertex_sets: Vec<Vec<VertexId>> = vec![Vec::new(); self.num_nodes()];
-        for &u in &order {
+        // Post-order visits the leaves left to right; `run[u]` is the range
+        // of `order` holding the leaves below `u`.
+        let mut order: Vec<VertexId> = Vec::with_capacity(n);
+        let mut run = vec![0..0; self.num_nodes()];
+        let mut edges = Vec::with_capacity(self.num_edges());
+        for u in self.postorder() {
             match self.kinds[u] {
                 CotreeKind::Leaf(v) => {
                     assert!(
                         (v as usize) < n,
                         "to_graph requires vertex labels 0..n, found {v} with n = {n}"
                     );
-                    vertex_sets[u] = vec![v];
+                    run[u] = order.len()..order.len() + 1;
+                    order.push(v);
                 }
-                CotreeKind::Union | CotreeKind::Join => {
+                kind => {
                     let kids = &self.children[u];
-                    if self.kinds[u] == CotreeKind::Join {
+                    if kind == CotreeKind::Join {
                         for (i, &a) in kids.iter().enumerate() {
-                            for &b in kids.iter().skip(i + 1) {
-                                for &x in &vertex_sets[a] {
-                                    for &y in &vertex_sets[b] {
-                                        g.add_edge(x, y).expect("join edges are fresh");
+                            for &b in &kids[i + 1..] {
+                                for &x in &order[run[a].clone()] {
+                                    for &y in &order[run[b].clone()] {
+                                        edges.push((x, y));
                                     }
                                 }
                             }
                         }
                     }
-                    let mut combined = Vec::new();
-                    for &c in kids {
-                        combined.extend_from_slice(&vertex_sets[c]);
-                    }
-                    vertex_sets[u] = combined;
+                    let first = &run[kids[0]];
+                    let last = &run[kids[kids.len() - 1]];
+                    run[u] = first.start..last.end;
                 }
             }
         }
-        g.finalize();
-        g
+        Graph::from_edges(n, &edges)
+            .expect("a cotree with labels 0..n has distinct in-range cross pairs")
     }
 
     /// Renders the cotree in term notation — `(u ...)` for a 0-node,

@@ -10,7 +10,9 @@
 //! This crate provides the substrate the path-cover algorithms operate on:
 //!
 //! * [`Cotree`] — the k-ary labelled cotree with construction operators,
-//!   validation and materialisation into a [`pcgraph::Graph`];
+//!   validation, materialisation into a [`pcgraph::Graph`], and path-cover
+//!   verification by cotree LCA ([`Cotree::verify_path_cover`]), which
+//!   never materialises the graph;
 //! * [`recognition`] — building the cotree of an arbitrary graph in
 //!   `O(n + m)` by incremental insertion ([`recognition::fast`]), with an
 //!   induced-`P_4` certificate on rejection; the textbook
@@ -33,6 +35,7 @@ pub mod generators;
 pub mod pathcount;
 pub mod recognition;
 pub mod reduce;
+mod verify;
 
 pub use binary::{BinKind, BinaryCotree, NONE};
 pub use cotree::{Cotree, CotreeKind};

@@ -14,7 +14,7 @@
 //!   by Case 2 can always be rotated to end in a right-side vertex, except in
 //!   the degenerate two-vertex case.
 
-use crate::pipeline::path_cover;
+use crate::sequential::sequential_path_cover;
 use cograph::{path_counts_seq, BinKind, BinaryCotree, Cotree};
 use pcgraph::{Path, PathCover};
 
@@ -26,12 +26,13 @@ pub fn has_hamiltonian_path(cotree: &Cotree) -> bool {
     p[tree.root()] == 1
 }
 
-/// Returns a Hamiltonian path when one exists.
+/// Returns a Hamiltonian path when one exists: the single path of the
+/// `O(n)` sequential cover ([`sequential_path_cover`]).
 pub fn hamiltonian_path(cotree: &Cotree) -> Option<Path> {
     if !has_hamiltonian_path(cotree) {
         return None;
     }
-    let cover: PathCover = path_cover(cotree);
+    let cover: PathCover = sequential_path_cover(cotree);
     debug_assert_eq!(cover.len(), 1);
     cover.into_paths().into_iter().next()
 }
@@ -99,6 +100,7 @@ pub fn brute_force_hamiltonian_cycle(g: &pcgraph::Graph) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::path_cover;
     use cograph::{random_cotree, recognize, CotreeShape};
     use pcgraph::generators;
     use pcgraph::verify_path_cover;

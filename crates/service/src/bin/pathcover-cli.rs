@@ -1,7 +1,7 @@
 //! `pathcover-cli` — command-line front-end of the `pcservice` query engine.
 //!
 //! ```text
-//! pathcover-cli solve <graph|-> [--format F] [--query KIND] [--backend sim|pool] [--threads N] [--json] [--no-verify] [--remote SOCK | --remote-http ADDR]
+//! pathcover-cli solve <graph|-> [--format F] [--query KIND] [--backend sequential|pool] [--threads N] [--json] [--no-verify] [--remote SOCK | --remote-http ADDR]
 //! pathcover-cli recognize <graph|-> [--format F] [--json] [--remote SOCK | --remote-http ADDR]
 //! pathcover-cli batch <graph|-|none> <queries.jsonl|-> [--threads N] [--format F] [--human] [--remote SOCK | --remote-http ADDR]
 //! pathcover-cli serve [--socket SOCK] [--http ADDR] [--snapshot PATH [--checkpoint-secs N]] [--threads N] [--cache-capacity N] [--cache-shards N] [--idle-timeout-ms MS] [--slow-ms MS] [--no-verify]
@@ -76,14 +76,14 @@ fn main() -> ExitCode {
 const USAGE: &str = "pathcover-cli — batched minimum path cover queries on cographs
 
 USAGE:
-    pathcover-cli solve <graph|-> [--format F] [--query KIND] [--backend sim|pool]
+    pathcover-cli solve <graph|-> [--format F] [--query KIND] [--backend sequential|pool]
                         [--threads N] [--json] [--no-verify]
                         [--remote SOCK | --remote-http ADDR]
     pathcover-cli recognize <graph|-> [--format F] [--json] [--remote SOCK | --remote-http ADDR]
     pathcover-cli batch <graph|-|none> <queries.jsonl|-> [--threads N] [--format F] [--human]
                         [--remote SOCK | --remote-http ADDR]
     pathcover-cli serve [--socket SOCK] [--http ADDR] [--snapshot PATH [--checkpoint-secs N]]
-                        [--threads N] [--backend sim|pool] [--cache-capacity N]
+                        [--threads N] [--backend sequential|pool] [--cache-capacity N]
                         [--cache-shards N] [--idle-timeout-ms MS] [--slow-ms MS] [--no-verify]
                         [--max-inflight N] [--max-connections N] [--max-requests-per-conn N]
                         [--drain-timeout-ms MS] [--fault-spec SPEC] [--log-level LEVEL]
@@ -151,13 +151,13 @@ OBSERVABILITY:
     (or PC_LOG) sets the threshold.
 
 PARALLEL EXECUTION:
-    Large full-cover solves run on a work-stealing thread pool (the real-cores
-    PRAM backend). '--threads N' sizes it; 0 or unset resolves to the
-    machine's available parallelism (clamped to 1..=64). '--backend pool'
-    forces every full-cover solve onto the pool, '--backend sim' keeps solves
-    on the sequential substrate; unset picks the pool automatically for
-    graphs with at least 65536 vertices. Step/work metrics always come from
-    the PRAM simulator, never from the pool.
+    Full covers and Hamiltonian paths come from the O(n) sequential solver
+    (the paper's Lemma 2.3): '--backend sequential', the default.
+    '--backend pool' runs every full-cover solve through the paper's
+    parallel pipeline on a work-stealing thread pool (the real-cores PRAM
+    backend) instead; '--threads N' sizes it, and 0 or unset resolves to the
+    machine's available parallelism (clamped to 1..=64). Step/work metrics
+    always come from the PRAM simulator, never from the pool.
 
 PERSISTENCE:
     '--snapshot PATH' makes restarts warm: the cache is saved to PATH on
@@ -189,6 +189,18 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, Strin
     } else {
         Ok(None)
     }
+}
+
+/// Applies `--backend sequential|pool`: the pool takes every full-cover
+/// solve, the sequential solver (the default) takes none to the pool.
+fn apply_backend(config: &mut EngineConfig, backend: Option<&str>) -> Result<(), String> {
+    match backend {
+        None => {}
+        Some("sequential") => config.parallel_min_vertices = 0,
+        Some("pool") => config.parallel_min_vertices = 1,
+        Some(other) => return Err(format!("unknown backend '{other}' (sequential|pool)")),
+    }
+    Ok(())
 }
 
 /// Pull the numeric value of `--flag N` out of `args`, defaulting when the
@@ -287,12 +299,7 @@ fn cmd_solve(args: &[String], recognize_mode: bool) -> Result<ExitCode, String> 
                 pool_threads: threads,
                 ..EngineConfig::default()
             };
-            match backend.as_deref() {
-                None => {}
-                Some("sim") => config.parallel_min_vertices = 0,
-                Some("pool") => config.parallel_min_vertices = 1,
-                Some(other) => return Err(format!("unknown backend '{other}' (sim|pool)")),
-            }
+            apply_backend(&mut config, backend.as_deref())?;
             let engine = QueryEngine::new(config);
             engine.execute(&request).to_json()
         }
@@ -1103,19 +1110,14 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
                     max_inflight,
                     ..EngineConfig::default()
                 };
-                match backend.as_deref() {
-                    None => {}
-                    Some("sim") => engine.parallel_min_vertices = 0,
-                    Some("pool") => engine.parallel_min_vertices = 1,
-                    Some(other) => return Err(format!("unknown backend '{other}' (sim|pool)")),
-                }
+                apply_backend(&mut engine, backend.as_deref())?;
                 engine
             },
         };
         let resolved_threads =
             parpool::resolve_threads(if threads == 0 { None } else { Some(threads) });
         let parallel_note = match config.engine.parallel_min_vertices {
-            0 => "parallel solve disabled (--backend sim)".to_string(),
+            0 => "covers from the sequential solver (--backend sequential)".to_string(),
             1 => "every full-cover solve on the pool (--backend pool)".to_string(),
             min => format!("pool engages at >= {min} vertices"),
         };

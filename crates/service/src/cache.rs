@@ -15,7 +15,11 @@
 //!
 //! `FullCover` answers are *not* memoised: covers are `O(n)` big, the solver
 //! that produces them is `O(n)` too, and every returned cover is re-verified
-//! against the request's graph anyway.
+//! anyway.
+//!
+//! An entry keeps its cotree's canonical serialisation, and the engine
+//! computes the request's in the same pass as its key, so confirming a
+//! cotree hit is one slice compare.
 //!
 //! ## Sharding and eviction
 //!
@@ -97,14 +101,20 @@ pub fn graph_fingerprint(g: &Graph) -> u64 {
 /// same key only when they describe the same labelled graph, which is what
 /// makes cached covers safe to reuse.
 pub fn canonical_key(tree: &Cotree) -> u64 {
-    let hashes = node_hashes(tree);
-    hashes[tree.root()]
+    node_hashes(tree, &tree.postorder(), |_, _| {})[tree.root()]
 }
 
-/// Per-node canonical hashes (see [`canonical_key`]).
-fn node_hashes(tree: &Cotree) -> Vec<u64> {
-    let mut node_hash = vec![0u64; tree.num_nodes()];
-    for u in tree.postorder() {
+/// Per-node canonical hashes (see [`canonical_key`]) over `order`, a
+/// post-order of `tree`. `visit` sees each internal node with its children
+/// and their hashes in ascending hash order, the order the hash needs.
+fn node_hashes(
+    tree: &Cotree,
+    order: &[usize],
+    mut visit: impl FnMut(usize, &[(u64, usize)]),
+) -> Vec<u64> {
+    let mut hash = vec![0u64; tree.num_nodes()];
+    let mut kids: Vec<(u64, usize)> = Vec::new();
+    for &u in order {
         let mut h = Fnv::new();
         match tree.kind(u) {
             CotreeKind::Leaf(v) => {
@@ -113,60 +123,76 @@ fn node_hashes(tree: &Cotree) -> Vec<u64> {
             }
             kind => {
                 h.write_u64(if kind == CotreeKind::Union { 2 } else { 3 });
-                let mut child_hashes: Vec<u64> =
-                    tree.children(u).iter().map(|&c| node_hash[c]).collect();
-                child_hashes.sort_unstable();
-                for ch in child_hashes {
-                    h.write_u64(ch);
+                kids.clear();
+                kids.extend(tree.children(u).iter().map(|&c| (hash[c], c)));
+                kids.sort_unstable();
+                for &(child_hash, _) in &kids {
+                    h.write_u64(child_hash);
                 }
+                visit(u, &kids);
             }
         }
-        node_hash[u] = h.finish();
+        hash[u] = h.finish();
     }
-    node_hash
+    hash
 }
 
 /// Exact canonical equality: `true` iff the two cotrees describe the same
 /// labelled graph up to reordering of children.
 ///
-/// Children are paired in sorted-hash order and compared pair by pair from
-/// an explicit stack — no recursion, so a cotree `O(n)` levels deep costs
+/// Both trees are serialised in their canonical child order (see
+/// [`Canonical`]) and the serialisations compared. Everything runs from
+/// explicit orders — no recursion, so a cotree `O(n)` levels deep costs
 /// heap, not call stack. A hash collision among siblings can only produce a
 /// false *negative* (the cache then treats the trees as distinct — lost
 /// sharing, never a wrong answer); a `true` result is an exact structural
-/// match of the pairing.
+/// match.
 pub fn canonical_eq(a: &Cotree, b: &Cotree) -> bool {
-    if a.num_nodes() != b.num_nodes() {
-        return false;
-    }
-    let ha = node_hashes(a);
-    let hb = node_hashes(b);
-    let mut pending = vec![(a.root(), b.root())];
-    while let Some((u, v)) = pending.pop() {
-        match (a.kind(u), b.kind(v)) {
-            (CotreeKind::Leaf(x), CotreeKind::Leaf(y)) => {
-                if x != y {
-                    return false;
-                }
-            }
-            (ka, kb) if ka == kb => {
-                let ca = sorted_children(a, u, &ha);
-                let cb = sorted_children(b, v, &hb);
-                if ca.len() != cb.len() {
-                    return false;
-                }
-                pending.extend(ca.into_iter().zip(cb));
-            }
-            _ => return false,
-        }
-    }
-    true
+    a.num_nodes() == b.num_nodes() && Canonical::of(a).tokens == Canonical::of(b).tokens
 }
 
-fn sorted_children(tree: &Cotree, u: usize, hashes: &[u64]) -> Vec<usize> {
-    let mut kids: Vec<usize> = tree.children(u).to_vec();
-    kids.sort_unstable_by_key(|&c| hashes[c]);
-    kids
+/// A cotree's canonical key plus its canonical serialisation: the nodes in
+/// pre-order, each node's children visited in ascending hash order, one
+/// token per node (a leaf's label, or an internal node's kind and child
+/// count). Pre-order with child counts determines the ordered tree, so two
+/// cotrees have equal tokens exactly when they match node for node under
+/// the hash ordering — and confirming a cache hit is one slice compare.
+pub(crate) struct Canonical {
+    /// The root's canonical hash: [`canonical_key`].
+    pub(crate) key: u64,
+    tokens: Vec<u64>,
+}
+
+impl Canonical {
+    /// The post-order hashing pass also records each child list in hash
+    /// order (the sort the hash needs anyway); a walk over those lists from
+    /// an explicit stack then emits the pre-order.
+    pub(crate) fn of(tree: &Cotree) -> Self {
+        let nodes = tree.num_nodes();
+        let order = tree.postorder();
+        // The children of `u` in hash order are `sorted[first[u]..]`.
+        let mut first = vec![0usize; nodes];
+        let mut sorted: Vec<usize> = Vec::with_capacity(nodes);
+        let hash = node_hashes(tree, &order, |u, kids| {
+            first[u] = sorted.len();
+            sorted.extend(kids.iter().map(|&(_, c)| c));
+        });
+        let mut tokens = Vec::with_capacity(nodes);
+        let mut stack = vec![tree.root()];
+        while let Some(u) = stack.pop() {
+            let arity = tree.children(u).len();
+            tokens.push(match tree.kind(u) {
+                CotreeKind::Leaf(v) => (v as u64) << 2 | 1,
+                CotreeKind::Union => (arity as u64) << 2 | 2,
+                CotreeKind::Join => (arity as u64) << 2 | 3,
+            });
+            stack.extend(sorted[first[u]..first[u] + arity].iter().rev());
+        }
+        Canonical {
+            key: hash[tree.root()],
+            tokens,
+        }
+    }
 }
 
 /// A cached cotree plus memoised scalar answers.
@@ -176,6 +202,9 @@ pub struct SolveEntry {
     pub key: u64,
     /// The cotree itself.
     pub cotree: Cotree,
+    /// The cotree's canonical serialisation ([`Canonical`]), kept so a
+    /// compare against this entry is one slice compare.
+    tokens: Vec<u64>,
     min_size: OnceLock<usize>,
     ham_path: OnceLock<bool>,
     ham_cycle: OnceLock<bool>,
@@ -203,13 +232,8 @@ impl SolveEntry {
     /// Rebuilds an entry from snapshot parts, pre-seeding the memo slots
     /// with the scalars persisted by a previous process.
     pub fn from_parts(cotree: Cotree, scalars: MemoisedScalars) -> Self {
-        let entry = SolveEntry {
-            key: canonical_key(&cotree),
-            cotree,
-            min_size: OnceLock::new(),
-            ham_path: OnceLock::new(),
-            ham_cycle: OnceLock::new(),
-        };
+        let canonical = Canonical::of(&cotree);
+        let entry = SolveEntry::canonical(cotree, canonical);
         if let Some(size) = scalars.min_cover_size {
             let _ = entry.min_size.set(size);
         }
@@ -220,6 +244,18 @@ impl SolveEntry {
             let _ = entry.ham_cycle.set(cycle);
         }
         entry
+    }
+
+    /// Wraps a cotree whose canonical form the caller already computed.
+    pub(crate) fn canonical(cotree: Cotree, canonical: Canonical) -> Self {
+        SolveEntry {
+            key: canonical.key,
+            cotree,
+            tokens: canonical.tokens,
+            min_size: OnceLock::new(),
+            ham_path: OnceLock::new(),
+            ham_cycle: OnceLock::new(),
+        }
     }
 
     /// The scalars memoised so far (the snapshot writer's view).
@@ -526,8 +562,24 @@ impl CotreeCache {
     /// entry's LRU position. As in [`Self::lookup_graph`], the comparison
     /// runs outside the shard lock.
     pub fn lookup_key(&self, key: u64, cotree: &Cotree) -> Option<Arc<SolveEntry>> {
+        // The request is serialised only when the key names a candidate.
+        self.lookup_key_with(key, |tokens| tokens == Canonical::of(cotree).tokens)
+    }
+
+    /// [`Self::lookup_key`] for a caller that already holds the request's
+    /// canonical form from computing its key: a hit costs one slice
+    /// compare.
+    pub(crate) fn lookup_canonical(&self, canonical: &Canonical) -> Option<Arc<SolveEntry>> {
+        self.lookup_key_with(canonical.key, |tokens| tokens == canonical.tokens)
+    }
+
+    fn lookup_key_with(
+        &self,
+        key: u64,
+        same: impl FnOnce(&[u64]) -> bool,
+    ) -> Option<Arc<SolveEntry>> {
         let candidate = self.shard(key).entries.get_touch(key).cloned();
-        let entry = candidate.filter(|e| canonical_eq(&e.cotree, cotree));
+        let entry = candidate.filter(|e| same(&e.tokens));
         self.book(key, entry.is_some());
         entry
     }
@@ -565,7 +617,7 @@ impl CotreeCache {
         let resident = {
             let mut shard = self.shard(entry.key);
             match shard.entries.get_touch(entry.key) {
-                Some(existing) if canonical_eq(&existing.cotree, &entry.cotree) => existing.clone(),
+                Some(existing) if existing.tokens == entry.tokens => existing.clone(),
                 Some(_collision) => return entry,
                 None => {
                     let evicted = shard.entries.insert(entry.key, entry.clone());
@@ -838,6 +890,24 @@ mod tests {
         let b = cache.insert(None, labelled_pair(true));
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.stats().entries, 1);
+    }
+
+    #[test]
+    fn canonical_forms_ignore_child_order_and_nothing_else() {
+        let a = Canonical::of(&labelled_pair(false));
+        let b = Canonical::of(&labelled_pair(true));
+        assert_eq!(a.key, canonical_key(&labelled_pair(false)));
+        assert_eq!((a.key, &a.tokens), (b.key, &b.tokens));
+        // Same node count, same labels, different shape.
+        let c = parse_cotree_term_labelled("(u 0 (j 1 2))").unwrap();
+        let d = parse_cotree_term_labelled("(u (j 0 1) 2)").unwrap();
+        assert_ne!(Canonical::of(&c).tokens, Canonical::of(&d).tokens);
+        // A hit through the engine's entry point is one token compare.
+        let cache = CotreeCache::new(8);
+        let entry = cache.insert(None, labelled_pair(false));
+        let hit = cache.lookup_canonical(&b).expect("reordered children hit");
+        assert!(Arc::ptr_eq(&entry, &hit));
+        assert!(cache.lookup_canonical(&Canonical::of(&d)).is_none());
     }
 
     #[test]

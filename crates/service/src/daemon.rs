@@ -1191,7 +1191,10 @@ mod tests {
     /// The deep-term regressions on one live transport: the alternating
     /// term answers correctly as a miss and then as a hit (the cache's
     /// equality check walks every level), each well under a second; the
-    /// flattened union answers; and the daemon still serves afterwards.
+    /// flattened union answers; full covers and Hamiltonian paths of both
+    /// terms come back verified on the cotree (the alternating term's graph
+    /// has ≈10⁸ edges, so expanding it is not an option); and the daemon
+    /// still serves afterwards.
     fn deep_terms_are_served(solve: &mut dyn FnMut(&QueryRequest) -> Json) {
         let min_cover =
             |term: String| QueryRequest::new(QueryKind::MinCoverSize, GraphSpec::CotreeTerm(term));
@@ -1227,8 +1230,33 @@ mod tests {
                 "{disposition} took {elapsed:?}"
             );
         }
-        let (term, expected) = nested_union_term(200_000);
-        assert_eq!(size(&solve(&min_cover(term))), Some(expected));
+        let (union, union_size) = nested_union_term(200_000);
+        assert_eq!(size(&solve(&min_cover(union.clone()))), Some(union_size));
+        // Joining one more vertex to the alternating term links its two
+        // paths: a Hamiltonian path on 20 003 vertices.
+        let joined = format!("(j h {term})");
+        for (term, expected, n) in [
+            (term, expected, 20_002),
+            (joined, 1, 20_003),
+            (union, union_size, 200_001),
+        ] {
+            let query = |kind| QueryRequest::new(kind, GraphSpec::CotreeTerm(term.clone()));
+            let answer = |response: Json| response.get("answer").cloned().expect("an answer");
+            let cover = answer(solve(&query(QueryKind::FullCover)));
+            assert_eq!(cover.get("size").and_then(Json::as_u64), Some(expected));
+            assert_eq!(cover.get("verified"), Some(&Json::Bool(true)), "{cover}");
+            // A witness is only returned after it passed verification.
+            let ham = answer(solve(&query(QueryKind::HamiltonianPath)));
+            assert_eq!(ham.get("exists"), Some(&Json::Bool(expected == 1)));
+            let witness = match ham.get("path") {
+                Some(Json::Arr(paths)) => match paths.as_slice() {
+                    [Json::Arr(path)] => Some(path.len()),
+                    other => panic!("a witness is one path: {other:?}"),
+                },
+                _ => None,
+            };
+            assert_eq!(witness, (expected == 1).then_some(n));
+        }
         let follow_up = solve(&min_cover("(j a b c)".to_string()));
         assert_eq!(size(&follow_up), Some(1), "{follow_up}");
     }

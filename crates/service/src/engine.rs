@@ -10,12 +10,21 @@
 //!   algorithm stack is converted into [`ServiceError::JobPanicked`] for
 //!   that job alone.
 //!
+//! Full covers and Hamiltonian witness paths come from the `O(n)`
+//! Lin–Olariu–Pruesse solver ([`pathcover::sequential_path_cover`], the
+//! paper's Lemma 2.3). The paper's parallel pipeline runs on the
+//! work-stealing pool only when [`EngineConfig::parallel_min_vertices`] asks
+//! for it (`--backend pool`).
+//!
 //! Every `FullCover` answer (and every Hamiltonian witness path) is checked
-//! with [`pcgraph::verify_path_cover`] against the request's graph before it
-//! is returned; a failure is reported as
+//! before it is returned. A request that arrived as a graph is checked with
+//! [`pcgraph::verify_path_cover`] against that graph; one that arrived as a
+//! cotree is checked on the cotree with [`Cotree::verify_path_cover`], which
+//! answers each consecutive pair by an LCA query and never expands the
+//! graph's edges. A failure is reported as
 //! [`ServiceError::CoverVerificationFailed`] rather than silently passed on.
 
-use crate::cache::{graph_fingerprint, CacheStats, CotreeCache, SolveEntry};
+use crate::cache::{graph_fingerprint, CacheStats, Canonical, CotreeCache, SolveEntry};
 use crate::error::ServiceError;
 use crate::ingest::{self, GraphFormat, Ingested};
 use crate::json::Json;
@@ -29,7 +38,7 @@ use crate::telemetry::{
 use crate::trace::{FlightRecorder, Span, TraceConfig};
 use cograph::{try_recognize, Cotree};
 use parpool::Pool;
-use pathcover::{hamiltonian_path, path_cover, pool_path_cover};
+use pathcover::{hamiltonian_path, pool_path_cover, sequential_path_cover};
 use pcgraph::{verify_path_cover, Graph, PathCover};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -59,13 +68,16 @@ pub struct EngineConfig {
     /// microseconds (`serve --slow-ms`); `None` logs only internal
     /// failures.
     pub slow_log_micros: Option<u64>,
-    /// Worker threads of the work-stealing pool used for large `FullCover`
-    /// solves; `0` resolves to the machine's available parallelism.
+    /// Worker threads of the work-stealing pool that runs the paper's
+    /// parallel pipeline when [`Self::parallel_min_vertices`] routes a
+    /// `FullCover` solve to it; `0` resolves to the machine's available
+    /// parallelism.
     pub pool_threads: usize,
-    /// Minimum vertex count before a `FullCover` solve moves to the
-    /// work-stealing pool; `0` disables parallel solving. The pool only
-    /// engages when at least two worker threads are available, so the
-    /// default never slows down a single-core host.
+    /// Minimum vertex count before a `FullCover` solve moves from the
+    /// sequential solver to the paper's pipeline on the work-stealing pool.
+    /// `0`, the default, never uses the pool: the sequential solver is
+    /// faster at every measured size. The pool only engages when at least
+    /// two worker threads are available.
     pub parallel_min_vertices: usize,
     /// Admission cap on live daemon-resident session handles; creating a
     /// session past the cap fails with [`ServiceError::TooManySessions`].
@@ -97,7 +109,7 @@ impl Default for EngineConfig {
             telemetry: true,
             slow_log_micros: None,
             pool_threads: 0,
-            parallel_min_vertices: 1 << 16,
+            parallel_min_vertices: 0,
             max_sessions: 256,
             session_idle_ttl: std::time::Duration::from_secs(600),
             max_inflight: 0,
@@ -147,8 +159,9 @@ pub struct QueryEngine {
     started: Instant,
     snapshot: Mutex<Option<SnapshotMeta>>,
     telemetry: Telemetry,
-    /// Lazily created work-stealing pool shared by all large solves; the
-    /// mutex serialises parallel solves so one huge graph gets every core.
+    /// Lazily created work-stealing pool shared by the solves routed to it
+    /// (`parallel_min_vertices > 0`); the mutex serialises them so one huge
+    /// graph gets every core.
     pool: Mutex<Option<Pool>>,
     /// Daemon-resident session handles (see [`crate::session`]).
     pub(crate) sessions: crate::session::SessionRegistry,
@@ -722,9 +735,12 @@ impl QueryEngine {
                 cache: CacheStatus::Bypass,
             });
         }
-        let key = crate::cache::canonical_key(cotree);
+        // One pass yields the key and the serialisation that confirms a
+        // hit, or that the new entry keeps on a miss.
+        let canonical = Canonical::of(cotree);
+        let key = canonical.key;
         let lookup_started = clock.collector().map(|c| c.elapsed_us());
-        if let Some(entry) = self.cache.lookup_key(key, cotree) {
+        if let Some(entry) = self.cache.lookup_canonical(&canonical) {
             self.cache_lookup_span(clock, lookup_started, key, "hit");
             clock.mark(Stage::CacheLookup);
             return Ok(Resolved {
@@ -734,7 +750,10 @@ impl QueryEngine {
             });
         }
         self.cache_lookup_span(clock, lookup_started, key, "miss");
-        let entry = self.cache.insert(None, cotree.clone());
+        let entry = self.cache.insert_entry(
+            None,
+            Arc::new(SolveEntry::canonical(cotree.clone(), canonical)),
+        );
         clock.mark(Stage::CacheLookup);
         Ok(Resolved {
             entry,
@@ -783,11 +802,16 @@ impl QueryEngine {
                 Ok(Answer::HamiltonianCycle { exists })
             }
             QueryKind::Recognize => {
-                let graph = self.graph_of(resolved);
+                // A cotree input is never expanded: its edges are counted
+                // on the tree.
+                let edges = match &resolved.graph {
+                    Some(graph) => graph.num_edges(),
+                    None => entry.cotree.num_edges(),
+                };
                 let answer = Answer::Recognized {
                     is_cograph: true,
-                    vertices: graph.num_vertices(),
-                    edges: graph.num_edges(),
+                    vertices: entry.cotree.num_vertices(),
+                    edges,
                     cotree_nodes: entry.cotree.num_nodes(),
                     height: entry.cotree.height(),
                     term: ingest::cotree_to_term(&entry.cotree),
@@ -818,20 +842,12 @@ impl QueryEngine {
         }
     }
 
-    /// The graph to verify against: the ingested one when available,
-    /// otherwise the cotree materialised.
-    fn graph_of(&self, resolved: &Resolved) -> Arc<Graph> {
-        match &resolved.graph {
-            Some(g) => g.clone(),
-            None => Arc::new(resolved.entry.cotree.to_graph()),
-        }
-    }
-
-    /// Solves one cover, moving to the work-stealing pool when the graph is
-    /// large enough and at least two worker threads are available. The pool
-    /// is created on first use and reused for the life of the engine; its
-    /// cumulative statistics are published to the telemetry registry after
-    /// every parallel solve.
+    /// Solves one cover with the sequential solver, or with the paper's
+    /// pipeline on the work-stealing pool when `parallel_min_vertices` is
+    /// set, the graph reaches it and at least two worker threads are
+    /// available. The pool is created on first use and reused for the life
+    /// of the engine; its cumulative statistics are published to the
+    /// telemetry registry after every parallel solve.
     fn solve_cover(&self, cotree: &Cotree, clock: &PipelineClock<'_>) -> PathCover {
         let threshold = self.config.parallel_min_vertices;
         if threshold > 0 && cotree.num_vertices() >= threshold {
@@ -883,15 +899,19 @@ impl QueryEngine {
                 return cover;
             }
         }
-        path_cover(cotree)
+        sequential_path_cover(cotree)
     }
 
+    /// Checks a cover against the ingested graph when there is one, and on
+    /// the cotree otherwise.
     fn verify(&self, resolved: &Resolved, cover: &PathCover) -> Result<bool, ServiceError> {
         if !self.config.verify_covers {
             return Ok(false);
         }
-        let graph = self.graph_of(resolved);
-        let report = verify_path_cover(&graph, cover);
+        let report = match &resolved.graph {
+            Some(graph) => verify_path_cover(graph, cover),
+            None => resolved.entry.cotree.verify_path_cover(cover),
+        };
         if report.is_valid() {
             Ok(true)
         } else {
@@ -1066,6 +1086,44 @@ mod tests {
                 path: None
             })
         );
+    }
+
+    #[test]
+    fn dense_cotree_terms_are_answered_without_expanding_the_graph() {
+        // A join of 8 unions of 8 cliques K64: n = 4096 and m = 28·512²
+        // cross edges plus 64·C(64, 2) clique edges, about 7.5 million.
+        let clique = |p: usize| {
+            let leaves: Vec<String> = (0..64).map(|i| format!("v{p}_{i}")).collect();
+            format!("(j {})", leaves.join(" "))
+        };
+        let part = |q: usize| {
+            let cliques: Vec<String> = (0..8).map(|c| clique(q * 8 + c)).collect();
+            format!("(u {})", cliques.join(" "))
+        };
+        let parts: Vec<String> = (0..8).map(part).collect();
+        let term = GraphSpec::CotreeTerm(format!("(j {})", parts.join(" ")));
+        let e = engine();
+        let ask = |kind| e.execute(&QueryRequest::new(kind, term.clone())).outcome;
+        match ask(QueryKind::Recognize).expect("a cotree term is a cograph") {
+            Answer::Recognized {
+                vertices, edges, ..
+            } => assert_eq!((vertices, edges), (4096, 28 * 512 * 512 + 64 * 2016)),
+            other => panic!("wrong answer variant: {other:?}"),
+        }
+        match ask(QueryKind::FullCover).expect("dense term solves") {
+            Answer::FullCover { cover, verified } => {
+                assert!(verified);
+                assert_eq!(cover.len(), 1);
+            }
+            other => panic!("wrong answer variant: {other:?}"),
+        }
+        match ask(QueryKind::HamiltonianPath).expect("dense term solves") {
+            Answer::HamiltonianPath { exists, path } => {
+                assert!(exists);
+                assert_eq!(path.expect("a verified witness").len(), 4096);
+            }
+            other => panic!("wrong answer variant: {other:?}"),
+        }
     }
 
     #[test]

@@ -34,7 +34,8 @@ pub enum ServiceError {
     /// The request referenced the batch-level shared graph, but the batch
     /// was started without one.
     SharedGraphMissing,
-    /// A produced cover failed [`pcgraph::verify_path_cover`]; this
+    /// A produced cover failed verification ([`pcgraph::verify_path_cover`],
+    /// or [`cograph::Cotree::verify_path_cover`] for a cotree input); this
     /// indicates a solver bug and is reported rather than returned silently.
     CoverVerificationFailed(String),
     /// The solver panicked; the panic was contained to this job.

@@ -23,8 +23,11 @@
 //!    `MinCoverSize`, `FullCover`, `HamiltonianPath`, `HamiltonianCycle`,
 //!    `Recognize` — one request at a time or fanned across a std-thread pool
 //!    with per-job isolation (typed errors *and* panic containment).
-//! 5. Every returned cover and Hamiltonian witness is re-checked with
-//!    [`pcgraph::verify_path_cover`] before the response leaves the engine.
+//! 5. Covers and Hamiltonian witnesses come from the `O(n)` sequential
+//!    solver; every one is re-checked before the response leaves the
+//!    engine — against the ingested graph with
+//!    [`pcgraph::verify_path_cover`], or on the cotree with
+//!    [`cograph::Cotree::verify_path_cover`] when the input was a cotree.
 //!
 //! Above the engine sits the serving stack: [`v2`] defines the versioned
 //! request envelope (`{op, target, params, trace_id}`) and the single

@@ -298,8 +298,10 @@ pub enum Answer {
     FullCover {
         /// The minimum path cover.
         cover: PathCover,
-        /// `true`: the cover passed [`pcgraph::verify_path_cover`] before
-        /// being returned (always true for successful responses).
+        /// `true`: the cover passed verification (against the ingested
+        /// graph, or on the cotree for a cotree input) before being
+        /// returned; `false` only when the engine runs with
+        /// `verify_covers` off.
         verified: bool,
     },
     /// Answer to [`QueryKind::HamiltonianPath`].
